@@ -140,28 +140,28 @@ pub fn speedup_experiment(ctx: &VerdictContext) -> Vec<SpeedupRow> {
 }
 
 /// Worst relative difference between the numeric columns of an approximate
-/// and an exact result (rows matched positionally after both are sorted by
-/// their first column).
+/// and an exact result.  A single-row (scalar) answer is compared row to
+/// row; multi-row answers match rows on their first column's value (the
+/// group key), so answers ordered by an *estimated* aggregate are still
+/// compared group to group.
 pub fn actual_relative_error(approx: &verdict_engine::Table, exact: &verdict_engine::Table) -> f64 {
     if approx.num_rows() == 0 || exact.num_rows() == 0 || approx.num_rows() != exact.num_rows() {
         return 0.0;
     }
-    // Rows are matched on the first column's value (the group key) so that
-    // answers ordered by an *estimated* aggregate are still compared
-    // group-to-group; single-row answers match trivially.
-    let mut exact_by_key: std::collections::HashMap<verdict_engine::KeyValue, usize> =
-        std::collections::HashMap::new();
-    for r in 0..exact.num_rows() {
-        exact_by_key.insert(
-            verdict_engine::KeyValue::from_value(&exact.value_at(r, 0)),
-            r,
-        );
-    }
+    let key = |t: &verdict_engine::Table, r: usize| {
+        verdict_engine::KeyValue::from_value(&t.value_at(r, 0))
+    };
+    let exact_by_key: std::collections::HashMap<verdict_engine::KeyValue, usize> =
+        (0..exact.num_rows()).map(|r| (key(exact, r), r)).collect();
     let mut worst: f64 = 0.0;
     for ra in 0..approx.num_rows() {
-        let key = verdict_engine::KeyValue::from_value(&approx.value_at(ra, 0));
-        let Some(&re) = exact_by_key.get(&key) else {
-            continue;
+        let re = if approx.num_rows() == 1 {
+            0
+        } else {
+            match exact_by_key.get(&key(approx, ra)) {
+                Some(&re) => re,
+                None => continue,
+            }
         };
         for c in 0..exact.num_columns().min(approx.num_columns()) {
             let (Some(a), Some(e)) = (approx.value(ra, c).as_f64(), exact.value(re, c).as_f64())
@@ -547,6 +547,29 @@ pub fn preparation_time(scale: f64) -> Vec<(String, Duration)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict_engine::{Table, TableBuilder};
+
+    fn table(keys: &[&str], values: &[f64]) -> Table {
+        let mut b = TableBuilder::new();
+        if !keys.is_empty() {
+            b = b.str_column("k", keys.iter().map(|k| k.to_string()).collect());
+        }
+        b.float_column("v", values.to_vec()).build().unwrap()
+    }
+
+    #[test]
+    fn actual_relative_error_scores_scalar_and_grouped_answers() {
+        // A scalar answer's only column is the estimate itself: it must be
+        // compared row to row, not matched on its own value as a key.
+        assert!(
+            (actual_relative_error(&table(&[], &[110.0]), &table(&[], &[100.0])) - 0.1).abs()
+                < 1e-12
+        );
+        // Grouped answers match on the key, whatever their row order.
+        let approx = table(&["b", "a"], &[40.0, 10.5]);
+        let exact = table(&["a", "b"], &[10.0, 50.0]);
+        assert!((actual_relative_error(&approx, &exact) - 0.2).abs() < 1e-12);
+    }
 
     #[test]
     fn speedup_experiment_produces_rows_with_speedups_over_one() {

@@ -8,16 +8,25 @@
 //! (which algebraically equals the full-sample Horvitz–Thompson estimate),
 //! and the error is derived from the spread of the per-subsample estimates,
 //! scaled by `sqrt(avg(ns_i)) / sqrt(n_g)` exactly as in the paper's Query 9.
+//!
+//! Assembly is one pass over the mean result's typed columns: the key
+//! columns are clustered with the engine's grouping kernel, each group's
+//! estimates are folded from the `f64` estimate columns in row order, and
+//! output and HAVING expressions arrive bound to aggregate slots at analysis
+//! time ([`Bound`]), so no expression is printed or matched per group or
+//! per cell.
 
 use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
-use crate::rewrite::{columns, AggClass, OutputColumn, QueryAnalysis, RewriteOutput};
+use crate::rewrite::{
+    columns, AggClass, Bound, BoundOutput, OutputColumn, QueryAnalysis, RewriteOutput,
+};
 use crate::stats::{normal_critical_value, stddev, weighted_mean};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use verdict_engine::kernels::group_rows;
 use verdict_engine::{Column, DataType, Field, KeyValue, Schema, Table, Value};
-use verdict_sql::ast::{BinaryOp, Expr, UnaryOp};
-use verdict_sql::dialect::GenericDialect;
-use verdict_sql::printer::print_expr;
+use verdict_sql::ast::{BinaryOp, Expr};
 
 /// The estimate and error bound reported for one aggregate column of one group.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,13 +89,101 @@ pub struct AssembledAnswer {
     pub errors: Vec<ColumnErrorSummary>,
 }
 
-#[derive(Debug, Default, Clone)]
-struct GroupData {
-    key_values: Vec<Value>,
-    /// One entry per subsample cell: (subsample size, per-aggregate estimate).
-    cells: Vec<(f64, HashMap<usize, f64>)>,
-    distinct: HashMap<usize, AggEstimate>,
-    extreme: HashMap<usize, Value>,
+/// The groups of an answer, in first-appearance order across the mean,
+/// distinct and extreme results (in that order).
+#[derive(Default)]
+struct Groups {
+    /// Group id by key, to match the rows of the next result.
+    ids: HashMap<Vec<KeyValue>, usize>,
+    /// Key values per group, from the group's first row.
+    keys: Vec<Vec<Value>>,
+    /// Mean-result rows per group (its subsample cells), in row order.
+    rows: Vec<Vec<usize>>,
+    /// Per group, the estimate of each aggregate slot.
+    estimates: Vec<Vec<Option<AggEstimate>>>,
+}
+
+impl Groups {
+    /// The group id of every row of `table`: its key columns are clustered
+    /// with the engine's grouping kernel, and each cluster's first row is
+    /// matched against (or appended to) the groups seen so far.
+    fn assign(
+        &mut self,
+        table: &Table,
+        group_count: usize,
+        slots: usize,
+    ) -> VerdictResult<Vec<usize>> {
+        let idxs = group_columns(table, group_count)?;
+        let grouping = group_rows(&key_columns(table, &idxs), table.num_rows());
+        let mut ids = Vec::with_capacity(grouping.num_groups());
+        for &row in &grouping.representatives {
+            let values: Vec<Value> = idxs.iter().map(|&c| table.value_at(row, c)).collect();
+            let next = self.keys.len();
+            let id = *self
+                .ids
+                .entry(values.iter().map(KeyValue::from_value).collect())
+                .or_insert(next);
+            if id == next {
+                self.keys.push(values);
+                self.rows.push(Vec::new());
+                self.estimates.push(vec![None; slots]);
+            }
+            ids.push(id);
+        }
+        Ok(grouping.gids.iter().map(|&g| ids[g]).collect())
+    }
+}
+
+/// The `verdict_g*` key columns of a rewritten result, borrowed when they
+/// lead the schema (as the rewriter emits them).
+pub(crate) fn key_columns<'a>(table: &'a Table, idxs: &[usize]) -> Cow<'a, [Column]> {
+    if idxs.iter().enumerate().all(|(i, &c)| i == c) {
+        Cow::Borrowed(&table.columns[..idxs.len()])
+    } else {
+        Cow::Owned(idxs.iter().map(|&c| table.columns[c].clone()).collect())
+    }
+}
+
+/// The mean result's subsample cells: the size of each row and, per
+/// mean-like aggregate slot, its estimate column.
+#[derive(Default)]
+struct Cells<'a> {
+    sizes: Vec<f64>,
+    est: Vec<Option<&'a Column>>,
+}
+
+/// One group's gathered `(estimate, cell size)` pairs; reused across groups.
+#[derive(Default)]
+struct Fold {
+    values: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl Fold {
+    /// Gathers the estimate and size of each given row, in order, skipping
+    /// rows whose estimate is missing.
+    fn gather(&mut self, rows: &[usize], sizes: &[f64], estimate: impl Fn(usize) -> Option<f64>) {
+        self.values.clear();
+        self.weights.clear();
+        for &r in rows {
+            if let Some(v) = estimate(r) {
+                self.values.push(v);
+                self.weights.push(sizes[r]);
+            }
+        }
+    }
+
+    /// The spread of the gathered estimates scaled by
+    /// `sqrt(avg(ns_i)) / sqrt(n_g)` (Theorem 2); 0 below two cells.
+    fn sigma(&self) -> f64 {
+        let total: f64 = self.weights.iter().sum();
+        let avg_size = total / self.weights.len() as f64;
+        if self.values.len() > 1 && total > 0.0 {
+            stddev(&self.values) * avg_size.sqrt() / total.sqrt()
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Assembles the final answer from the raw results of the rewritten parts.
@@ -98,121 +195,88 @@ pub fn assemble(
     config: &VerdictConfig,
 ) -> VerdictResult<AssembledAnswer> {
     let analysis = &rewrite.analysis;
-    let group_count = analysis.group_by.len();
-    let mut groups: HashMap<Vec<KeyValue>, GroupData> = HashMap::new();
-    let mut group_order: Vec<Vec<KeyValue>> = Vec::new();
+    let (k, slots) = (analysis.group_by.len(), analysis.aggregates.len());
+    let z = normal_critical_value(config.confidence);
+    let specs = |class| analysis.aggregates.iter().filter(move |s| s.class == class);
+    let mut groups = Groups::default();
+    let mut cells = Cells::default();
+    let mut fold = Fold::default();
 
-    // --- mean-like part -----------------------------------------------------
+    // --- mean-like part: fold each group's cells in row order ---------------
     if let Some(table) = mean_result {
-        let sid_idx = required_column(table, columns::SID)?;
-        let size_idx = required_column(table, columns::SUB_SIZE)?;
-        let group_idxs = group_columns(table, group_count)?;
-        let mut est_idxs: HashMap<usize, usize> = HashMap::new();
-        for spec in &analysis.aggregates {
-            if spec.class == AggClass::MeanLike {
-                let col = format!("{}{}", columns::EST_PREFIX, spec.index);
-                est_idxs.insert(spec.index, required_column(table, &col)?);
-            }
+        required_column(table, columns::SID)?;
+        let size = &table.columns[required_column(table, columns::SUB_SIZE)?];
+        cells.sizes = (0..table.num_rows())
+            .map(|r| size.f64_at(r).unwrap_or(0.0))
+            .collect();
+        cells.est = vec![None; slots];
+        for spec in specs(AggClass::MeanLike) {
+            let col = format!("{}{}", columns::EST_PREFIX, spec.index);
+            cells.est[spec.index] = Some(&table.columns[required_column(table, &col)?]);
         }
-        for row in 0..table.num_rows() {
-            let key: Vec<KeyValue> = group_idxs
-                .iter()
-                .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
-                .collect();
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                group_order.push(key.clone());
-                GroupData {
-                    key_values: group_idxs.iter().map(|&c| table.value_at(row, c)).collect(),
-                    ..GroupData::default()
+        for (row, g) in groups.assign(table, k, slots)?.into_iter().enumerate() {
+            groups.rows[g].push(row);
+        }
+        for (spec, col) in analysis.aggregates.iter().zip(&cells.est) {
+            let Some(col) = col else { continue };
+            for (rows, estimates) in groups.rows.iter().zip(&mut groups.estimates) {
+                fold.gather(rows, &cells.sizes, |r| col.f64_at(r));
+                if fold.values.is_empty() {
+                    continue;
                 }
-            });
-            let size = table.value(row, size_idx).as_f64().unwrap_or(0.0);
-            let mut cell = HashMap::new();
-            for (agg_idx, col_idx) in &est_idxs {
-                if let Some(v) = table.value(row, *col_idx).as_f64() {
-                    cell.insert(*agg_idx, v);
-                }
+                estimates[spec.index] = Some(AggEstimate {
+                    estimate: combine_estimates(
+                        &spec.call.name,
+                        &fold.values,
+                        &fold.weights,
+                        rewrite.subsample_count,
+                    ),
+                    error: z * fold.sigma(),
+                });
             }
-            let _ = table.value(row, sid_idx); // sid itself is not needed beyond grouping
-            entry.cells.push((size, cell));
         }
     }
 
     // --- count-distinct part --------------------------------------------------
     if let (Some(table), Some((_, scales))) = (distinct_result, &rewrite.distinct_query) {
-        let group_idxs = group_columns(table, group_count)?;
-        for spec in &analysis.aggregates {
-            if spec.class != AggClass::Distinct {
-                continue;
-            }
+        let ids = groups.assign(table, k, slots)?;
+        for spec in specs(AggClass::Distinct) {
             let col = format!("{}{}", columns::DISTINCT_PREFIX, spec.index);
-            let col_idx = required_column(table, &col)?;
+            let col = &table.columns[required_column(table, &col)?];
             let scale = *scales.get(&spec.index).unwrap_or(&1.0);
-            for row in 0..table.num_rows() {
-                let key: Vec<KeyValue> = group_idxs
-                    .iter()
-                    .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
-                    .collect();
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    group_order.push(key.clone());
-                    GroupData {
-                        key_values: group_idxs.iter().map(|&c| table.value_at(row, c)).collect(),
-                        ..GroupData::default()
-                    }
-                });
-                let raw = table.value(row, col_idx).as_f64().unwrap_or(0.0);
-                let estimate = raw * scale;
+            for (row, &g) in ids.iter().enumerate() {
+                let raw = col.f64_at(row).unwrap_or(0.0);
                 // Binomial-style error: the observed distinct count is roughly
                 // Binomial(D, 1/scale), so sd(D̂) ≈ scale * sqrt(raw * (1 - 1/scale)).
                 let error = if scale > 1.0 {
-                    normal_critical_value(config.confidence)
-                        * scale
-                        * (raw * (1.0 - 1.0 / scale)).max(0.0).sqrt()
+                    z * scale * (raw * (1.0 - 1.0 / scale)).max(0.0).sqrt()
                 } else {
                     0.0
                 };
-                entry
-                    .distinct
-                    .insert(spec.index, AggEstimate { estimate, error });
+                groups.estimates[g][spec.index] = Some(AggEstimate {
+                    estimate: raw * scale,
+                    error,
+                });
             }
         }
     }
 
     // --- extreme part ---------------------------------------------------------
     if let Some(table) = extreme_result {
-        let group_idxs = group_columns(table, group_count)?;
-        for spec in &analysis.aggregates {
-            if spec.class != AggClass::Extreme {
-                continue;
-            }
+        let ids = groups.assign(table, k, slots)?;
+        for spec in specs(AggClass::Extreme) {
             let col = format!("{}{}", columns::EXTREME_PREFIX, spec.index);
-            let col_idx = required_column(table, &col)?;
-            for row in 0..table.num_rows() {
-                let key: Vec<KeyValue> = group_idxs
-                    .iter()
-                    .map(|&c| KeyValue::from_value(&table.value_at(row, c)))
-                    .collect();
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    group_order.push(key.clone());
-                    GroupData {
-                        key_values: group_idxs.iter().map(|&c| table.value_at(row, c)).collect(),
-                        ..GroupData::default()
-                    }
+            let col = &table.columns[required_column(table, &col)?];
+            for (row, &g) in ids.iter().enumerate() {
+                groups.estimates[g][spec.index] = Some(AggEstimate {
+                    estimate: col.f64_at(row).unwrap_or(f64::NAN),
+                    error: 0.0,
                 });
-                entry
-                    .extreme
-                    .insert(spec.index, table.value(row, col_idx).clone());
             }
         }
     }
 
-    build_output(
-        analysis,
-        &groups,
-        &group_order,
-        config,
-        rewrite.subsample_count,
-    )
+    build_output(analysis, &groups, &cells, &mut fold, config, z)
 }
 
 /// How per-subsample estimates of one aggregate are combined into the group's
@@ -246,74 +310,20 @@ fn group_columns(table: &Table, group_count: usize) -> VerdictResult<Vec<usize>>
 
 fn build_output(
     analysis: &QueryAnalysis,
-    groups: &HashMap<Vec<KeyValue>, GroupData>,
-    group_order: &[Vec<KeyValue>],
+    groups: &Groups,
+    cells: &Cells,
+    fold: &mut Fold,
     config: &VerdictConfig,
-    subsample_count: u64,
+    z: f64,
 ) -> VerdictResult<AssembledAnswer> {
-    let z = normal_critical_value(config.confidence);
-
-    // Per group, per aggregate index: point estimate and error.
-    let mut per_group: Vec<(Vec<Value>, HashMap<usize, AggEstimate>, &GroupData)> = Vec::new();
-    for key in group_order {
-        let data = &groups[key];
-        let mut estimates: HashMap<usize, AggEstimate> = HashMap::new();
-        for spec in &analysis.aggregates {
-            match spec.class {
-                AggClass::MeanLike => {
-                    let mut values = Vec::new();
-                    let mut weights = Vec::new();
-                    for (size, cell) in &data.cells {
-                        if let Some(v) = cell.get(&spec.index) {
-                            values.push(*v);
-                            weights.push(*size);
-                        }
-                    }
-                    if values.is_empty() {
-                        continue;
-                    }
-                    let estimate =
-                        combine_estimates(&spec.call.name, &values, &weights, subsample_count);
-                    let total: f64 = weights.iter().sum();
-                    let avg_size = total / weights.len() as f64;
-                    let sigma = if values.len() > 1 && total > 0.0 {
-                        stddev(&values) * avg_size.sqrt() / total.sqrt()
-                    } else {
-                        0.0
-                    };
-                    estimates.insert(
-                        spec.index,
-                        AggEstimate {
-                            estimate,
-                            error: z * sigma,
-                        },
-                    );
-                }
-                AggClass::Distinct => {
-                    if let Some(e) = data.distinct.get(&spec.index) {
-                        estimates.insert(spec.index, *e);
-                    }
-                }
-                AggClass::Extreme => {
-                    if let Some(v) = data.extreme.get(&spec.index) {
-                        estimates.insert(
-                            spec.index,
-                            AggEstimate {
-                                estimate: v.as_f64().unwrap_or(f64::NAN),
-                                error: 0.0,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        per_group.push((data.key_values.clone(), estimates, data));
-    }
-
     // Apply HAVING using the estimated aggregates.
-    if let Some(having) = &analysis.having {
-        per_group.retain(|(key_values, estimates, _)| {
-            evaluate_predicate(having, analysis, key_values, estimates).unwrap_or(true)
+    let mut kept: Vec<usize> = (0..groups.keys.len()).collect();
+    if let Some(having) = &analysis.bound_having {
+        kept.retain(|&g| {
+            let point = |s: usize| Some(groups.estimates[g][s]?.estimate);
+            eval(having, &point, &groups.keys[g])
+                .and_then(|v| v.as_bool())
+                .unwrap_or(true)
         });
     }
 
@@ -324,39 +334,33 @@ fn build_output(
     let mut columns: Vec<Column> = Vec::new();
     let mut error_summaries: Vec<ColumnErrorSummary> = Vec::new();
 
-    for out in &analysis.output {
+    for (out, bound) in analysis.output.iter().zip(&analysis.bound_output) {
         match out {
             OutputColumn::GroupKey { index, name } => {
-                let dt = per_group
+                let dt = kept
                     .first()
-                    .and_then(|(kv, _, _)| kv.get(*index))
+                    .and_then(|&g| groups.keys[g].get(*index))
                     .and_then(|v| v.data_type())
                     .unwrap_or(DataType::Str);
                 fields.push(Field::new(name, dt));
-                let keys: Vec<Value> = per_group
+                let keys: Vec<Value> = kept
                     .iter()
-                    .map(|(kv, _, _)| kv.get(*index).cloned().unwrap_or(Value::Null))
+                    .map(|&g| groups.keys[g].get(*index).cloned().unwrap_or(Value::Null))
                     .collect();
                 columns.push(Column::from_values_typed(dt, &keys));
             }
-            OutputColumn::Aggregate { expr, name } => {
-                let mut values: Vec<Option<f64>> = Vec::with_capacity(per_group.len());
-                let mut errors: Vec<Option<f64>> = Vec::with_capacity(per_group.len());
+            OutputColumn::Aggregate { name, .. } => {
+                let bound = bound
+                    .as_ref()
+                    .ok_or_else(|| VerdictError::Answer(format!("output {name} is not bound")))?;
+                let mut values: Vec<Option<f64>> = Vec::with_capacity(kept.len());
+                let mut errors: Vec<Option<f64>> = Vec::with_capacity(kept.len());
                 let mut rel_errors = Vec::new();
-                for (key_values, estimates, data) in &per_group {
-                    let est =
-                        evaluate_aggregate_output(expr, analysis, key_values, estimates, data, z);
-                    match est {
-                        Some(e) => {
-                            values.push(Some(e.estimate));
-                            errors.push(Some(e.error));
-                            rel_errors.push(e.relative_error());
-                        }
-                        None => {
-                            values.push(None);
-                            errors.push(None);
-                        }
-                    }
+                for &g in &kept {
+                    let est = evaluate_aggregate_output(bound, analysis, groups, g, cells, fold, z);
+                    values.push(est.map(|e| e.estimate));
+                    errors.push(est.map(|e| e.error));
+                    rel_errors.extend(est.map(|e| e.relative_error()));
                 }
                 fields.push(Field::new(name, DataType::Float));
                 columns.push(Column::from_opt_f64(values));
@@ -440,91 +444,48 @@ fn order_key_column(expr: &Expr, analysis: &QueryAnalysis, table: &Table) -> Opt
     None
 }
 
-/// Evaluates an aggregate output expression for one group.
+/// Evaluates an aggregate output expression for group `g`.
 ///
 /// When every aggregate in the expression is mean-like, the expression is
-/// evaluated per subsample and re-combined (so e.g. `sum(a)/sum(b)` gets a
-/// proper variational error estimate); otherwise it is evaluated over the
+/// evaluated per subsample cell and re-combined (so e.g. `sum(a)/sum(b)` gets
+/// a proper variational error estimate); otherwise it is evaluated over the
 /// point estimates, and the error is taken from the single aggregate call
 /// when the expression is exactly one call.
 fn evaluate_aggregate_output(
-    expr: &Expr,
+    bound: &BoundOutput,
     analysis: &QueryAnalysis,
-    key_values: &[Value],
-    estimates: &HashMap<usize, AggEstimate>,
-    data: &GroupData,
+    groups: &Groups,
+    g: usize,
+    cells: &Cells,
+    fold: &mut Fold,
     z: f64,
 ) -> Option<AggEstimate> {
-    let specs_in_expr: Vec<usize> = analysis
-        .aggregates
+    let (estimates, keys, rows) = (&groups.estimates[g], &groups.keys[g], &groups.rows[g]);
+    let value = eval(&bound.expr, &|s| Some(estimates[s]?.estimate), keys)?.as_f64()?;
+
+    let all_mean_like = bound
+        .slots
         .iter()
-        .filter(|s| expr_contains_call(expr, &s.call))
-        .map(|s| s.index)
-        .collect();
-    let all_mean_like = specs_in_expr.iter().all(|i| {
-        analysis
-            .aggregates
-            .iter()
-            .any(|s| s.index == *i && s.class == AggClass::MeanLike)
-    });
-
-    // Point estimate: plug the per-aggregate point estimates into the
-    // expression (for a bare aggregate this is just that aggregate's estimate).
-    let lookup = |e: &Expr| -> Option<Value> {
-        for spec in &analysis.aggregates {
-            if expr_is_call(e, &spec.call) {
-                return estimates.get(&spec.index).map(|v| Value::Float(v.estimate));
-            }
-        }
-        group_value(e, analysis, key_values)
-    };
-    let value = eval_const(expr, &lookup)?.as_f64()?;
-
-    // Error: when every aggregate in the expression is mean-like, derive it
-    // from the spread of the expression evaluated per subsample (so ratios
-    // like `sum(a)/sum(b)` get a proper variational error estimate).
-    if all_mean_like && !data.cells.is_empty() {
-        let mut values = Vec::new();
-        let mut weights = Vec::new();
-        for (size, cell) in &data.cells {
-            let cell_lookup = |e: &Expr| -> Option<Value> {
-                for spec in &analysis.aggregates {
-                    if expr_is_call(e, &spec.call) {
-                        return cell.get(&spec.index).map(|v| Value::Float(*v));
-                    }
-                }
-                group_value(e, analysis, key_values)
-            };
-            if let Some(v) = eval_const(expr, &cell_lookup).and_then(|v| v.as_f64()) {
-                if v.is_finite() {
-                    values.push(v);
-                    weights.push(*size);
-                }
-            }
-        }
-        if values.len() > 1 {
-            let total: f64 = weights.iter().sum();
-            let avg_size = total / weights.len() as f64;
-            let sigma = if total > 0.0 {
-                stddev(&values) * avg_size.sqrt() / total.sqrt()
-            } else {
-                0.0
-            };
+        .all(|&s| analysis.aggregates[s].class == AggClass::MeanLike);
+    if all_mean_like && !rows.is_empty() {
+        fold.gather(rows, &cells.sizes, |r| {
+            let cell = |s: usize| cells.est[s]?.f64_at(r);
+            eval(&bound.expr, &cell, keys)
+                .and_then(|v| v.as_f64())
+                .filter(|v| v.is_finite())
+        });
+        if fold.values.len() > 1 {
             return Some(AggEstimate {
                 estimate: value,
-                error: z * sigma,
+                error: z * fold.sigma(),
             });
         }
     }
 
     // Fallback error: exact when the expression is a single aggregate call.
-    let error = if specs_in_expr.len() == 1 && expr_is_single_call(expr) {
-        estimates
-            .get(&specs_in_expr[0])
-            .map(|e| e.error)
-            .unwrap_or(0.0)
-    } else {
-        0.0
+    let error = match (&bound.expr, bound.slots.as_slice()) {
+        (Bound::Agg(s), [_]) => estimates[*s].map_or(0.0, |e| e.error),
+        _ => 0.0,
     };
     Some(AggEstimate {
         estimate: value,
@@ -532,173 +493,110 @@ fn evaluate_aggregate_output(
     })
 }
 
-fn evaluate_predicate(
-    pred: &Expr,
-    analysis: &QueryAnalysis,
-    key_values: &[Value],
-    estimates: &HashMap<usize, AggEstimate>,
-) -> Option<bool> {
-    let lookup = |e: &Expr| -> Option<Value> {
-        for spec in &analysis.aggregates {
-            if expr_is_call(e, &spec.call) {
-                return estimates.get(&spec.index).map(|v| Value::Float(v.estimate));
-            }
-        }
-        group_value(e, analysis, key_values)
-    };
-    eval_const(pred, &lookup)?.as_bool()
-}
-
-fn group_value(e: &Expr, analysis: &QueryAnalysis, key_values: &[Value]) -> Option<Value> {
-    if let Expr::Column { name, .. } = e {
-        for (i, g) in analysis.group_by.iter().enumerate() {
-            if let Expr::Column { name: gname, .. } = g {
-                if gname.eq_ignore_ascii_case(name) {
-                    return key_values.get(i).cloned();
-                }
-            }
-        }
-    }
-    None
-}
-
-fn expr_is_call(e: &Expr, call: &verdict_sql::ast::FunctionCall) -> bool {
-    match e {
-        Expr::Function(f) => {
-            print_expr(&Expr::Function(f.clone()), &GenericDialect)
-                == print_expr(&Expr::Function(call.clone()), &GenericDialect)
-        }
-        Expr::Nested(inner) => expr_is_call(inner, call),
-        _ => false,
-    }
-}
-
-fn expr_contains_call(expr: &Expr, call: &verdict_sql::ast::FunctionCall) -> bool {
-    let mut found = false;
-    verdict_sql::visitor::walk_expr(expr, &mut |e| {
-        if expr_is_call(e, call) {
-            found = true;
-        }
-    });
-    found
-}
-
-fn expr_is_single_call(expr: &Expr) -> bool {
-    matches!(expr, Expr::Function(_))
-        || matches!(expr, Expr::Nested(inner) if expr_is_single_call(inner))
-}
-
-/// A tiny constant-expression evaluator used to recombine aggregate estimates
-/// (e.g. `100 * sum(a) / sum(b)`) and to apply HAVING / ORDER BY on the
-/// middleware side.  The `lookup` closure is consulted at every node first,
-/// which is how aggregate calls and group columns get their values.
-pub fn eval_const(expr: &Expr, lookup: &dyn Fn(&Expr) -> Option<Value>) -> Option<Value> {
-    if let Some(v) = lookup(expr) {
-        return Some(v);
-    }
-    match expr {
-        Expr::Literal(l) => Some(match l {
-            verdict_sql::ast::Literal::Null => Value::Null,
-            verdict_sql::ast::Literal::Boolean(b) => Value::Bool(*b),
-            verdict_sql::ast::Literal::Integer(i) => Value::Float(*i as f64),
-            verdict_sql::ast::Literal::Float(f) => Value::Float(*f),
-            verdict_sql::ast::Literal::String(s) => Value::Str(s.clone()),
-        }),
-        Expr::Nested(e) => eval_const(e, lookup),
-        Expr::UnaryOp {
-            op: UnaryOp::Minus,
-            expr,
-        } => {
-            let v = eval_const(expr, lookup)?.as_f64()?;
-            Some(Value::Float(-v))
-        }
-        Expr::UnaryOp {
-            op: UnaryOp::Plus,
-            expr,
-        } => eval_const(expr, lookup),
-        Expr::UnaryOp {
-            op: UnaryOp::Not,
-            expr,
-        } => {
-            let v = eval_const(expr, lookup)?.as_bool()?;
-            Some(Value::Bool(!v))
-        }
-        Expr::BinaryOp { left, op, right } => {
-            let l = eval_const(left, lookup)?;
-            let r = eval_const(right, lookup)?;
+/// Evaluates a bound output or HAVING expression, `agg` supplying slot
+/// values: integer literals are f64, `x/0` and `x%0` are NULL, comparisons
+/// use [`Value::sql_cmp`], NULL propagates, and `None` (an opaque node, a
+/// missing slot, or a NULL where a number or boolean is needed) fails the
+/// whole evaluation.
+fn eval(e: &Bound, agg: &dyn Fn(usize) -> Option<f64>, keys: &[Value]) -> Option<Value> {
+    let sub = |e: &Bound| eval(e, agg, keys);
+    Some(match e {
+        Bound::Agg(s) => Value::Float(agg(*s)?),
+        Bound::Key(i) => keys.get(*i)?.clone(),
+        Bound::Lit(v) => v.clone(),
+        Bound::Neg(x) => Value::Float(-sub(x)?.as_f64()?),
+        Bound::Not(x) => Value::Bool(!sub(x)?.as_bool()?),
+        Bound::Binary(l, op, r) => {
+            let (l, r) = (sub(l)?, sub(r)?);
             match op {
-                BinaryOp::And => Some(Value::Bool(l.as_bool()? && r.as_bool()?)),
-                BinaryOp::Or => Some(Value::Bool(l.as_bool()? || r.as_bool()?)),
+                BinaryOp::And => Value::Bool(l.as_bool()? && r.as_bool()?),
+                BinaryOp::Or => Value::Bool(l.as_bool()? || r.as_bool()?),
                 op if op.is_comparison() => {
                     let ord = l.sql_cmp(&r)?;
-                    use std::cmp::Ordering::*;
-                    let b = match op {
-                        BinaryOp::Eq => ord == Equal,
-                        BinaryOp::NotEq => ord != Equal,
-                        BinaryOp::Lt => ord == Less,
-                        BinaryOp::LtEq => ord != Greater,
-                        BinaryOp::Gt => ord == Greater,
-                        BinaryOp::GtEq => ord != Less,
-                        _ => unreachable!(),
-                    };
-                    Some(Value::Bool(b))
+                    Value::Bool(match op {
+                        BinaryOp::Eq => ord.is_eq(),
+                        BinaryOp::NotEq => ord.is_ne(),
+                        BinaryOp::Lt => ord.is_lt(),
+                        BinaryOp::LtEq => ord.is_le(),
+                        BinaryOp::Gt => ord.is_gt(),
+                        _ => ord.is_ge(),
+                    })
                 }
                 _ => {
                     let (x, y) = (l.as_f64()?, r.as_f64()?);
-                    let v = match op {
-                        BinaryOp::Plus => x + y,
-                        BinaryOp::Minus => x - y,
-                        BinaryOp::Multiply => x * y,
-                        BinaryOp::Divide => {
-                            if y == 0.0 {
-                                return Some(Value::Null);
-                            }
-                            x / y
-                        }
-                        BinaryOp::Modulo => {
-                            if y == 0.0 {
-                                return Some(Value::Null);
-                            }
-                            x % y
-                        }
+                    match op {
+                        BinaryOp::Plus => Value::Float(x + y),
+                        BinaryOp::Minus => Value::Float(x - y),
+                        BinaryOp::Multiply => Value::Float(x * y),
+                        BinaryOp::Divide | BinaryOp::Modulo if y == 0.0 => Value::Null,
+                        BinaryOp::Divide => Value::Float(x / y),
+                        BinaryOp::Modulo => Value::Float(x % y),
                         _ => return None,
-                    };
-                    Some(Value::Float(v))
+                    }
                 }
             }
         }
-        _ => None,
-    }
+        Bound::Opaque => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verdict_sql::parse_expression;
+    use crate::rewrite::analyze_query;
+    use verdict_sql::{parse_statement, Statement};
+
+    /// Binds the first output column of `SELECT <expr> FROM t GROUP BY g`.
+    fn bound(expr: &str) -> BoundOutput {
+        let Ok(Statement::Query(q)) = parse_statement(&format!("SELECT {expr} FROM t GROUP BY g"))
+        else {
+            panic!("not a query: {expr}");
+        };
+        analyze_query(&q).unwrap().bound_output[0].clone().unwrap()
+    }
 
     #[test]
     fn const_evaluator_handles_arithmetic_and_lookup() {
-        let expr = parse_expression("100 * sum(a) / sum(b)").unwrap();
-        let lookup = |e: &Expr| -> Option<Value> {
-            match e {
-                Expr::Function(f) if f.name == "sum" => {
-                    let arg = print_expr(&f.args[0], &GenericDialect);
-                    Some(Value::Float(if arg == "a" { 30.0 } else { 60.0 }))
-                }
-                _ => None,
-            }
-        };
-        let v = eval_const(&expr, &lookup).unwrap().as_f64().unwrap();
+        let b = bound("100 * sum(a) / (sum(b))");
+        assert_eq!(b.slots, vec![0, 1]);
+        let slot = |s: usize| Some(if s == 0 { 30.0 } else { 60.0 });
+        let v = eval(&b.expr, &slot, &[]).unwrap().as_f64().unwrap();
         assert!((v - 50.0).abs() < 1e-9);
+        // division by zero is NULL, a missing slot fails the evaluation
+        let zero = |s: usize| Some(if s == 0 { 30.0 } else { 0.0 });
+        assert_eq!(eval(&b.expr, &zero, &[]), Some(Value::Null));
+        assert_eq!(eval(&b.expr, &|_| None, &[]), None);
     }
 
     #[test]
     fn const_evaluator_handles_comparisons() {
-        let expr = parse_expression("count(*) > 10 AND 2 + 2 = 4").unwrap();
-        let lookup = |e: &Expr| -> Option<Value> {
-            matches!(e, Expr::Function(f) if f.name == "count").then_some(Value::Float(50.0))
-        };
-        assert_eq!(eval_const(&expr, &lookup).unwrap().as_bool(), Some(true));
+        let b = bound("count(*) > 10 AND 2 + 2 = 4 AND g <> 'x'");
+        let keys = [Value::Str("y".into())];
+        assert_eq!(
+            eval(&b.expr, &|_| Some(50.0), &keys),
+            Some(Value::Bool(true))
+        );
+        // a NULL key compares as unknown
+        assert_eq!(eval(&b.expr, &|_| Some(50.0), &[Value::Null]), None);
+    }
+
+    #[test]
+    fn binding_shares_slots_and_leaves_scalar_functions_opaque() {
+        let b = bound("sum(x) + SUM(x)");
+        assert_eq!(b.slots, vec![0]);
+        assert_eq!(
+            b.expr,
+            Bound::Binary(
+                Box::new(Bound::Agg(0)),
+                BinaryOp::Plus,
+                Box::new(Bound::Agg(0))
+            )
+        );
+        assert_eq!(bound("round(sum(x))").expr, Bound::Opaque);
+        assert_eq!(
+            bound("-(+sum(x))").expr,
+            Bound::Neg(Box::new(Bound::Agg(0)))
+        );
     }
 
     #[test]

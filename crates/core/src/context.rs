@@ -13,7 +13,7 @@
 //!   queries for which no sampled plan fits the I/O budget are transparently
 //!   passed through to the underlying database.
 
-use crate::answer::{assemble, ColumnErrorSummary};
+use crate::answer::{assemble, key_columns, ColumnErrorSummary};
 use crate::backend::{BackendStats, DialectBackend, InstrumentedBackend};
 use crate::cache::{AnswerCache, CacheStats};
 use crate::config::VerdictConfig;
@@ -29,6 +29,7 @@ use crate::sample::{SampleMeta, SampleType};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use verdict_engine::kernels::group_rows;
 use verdict_engine::{Backend, Table, TableBuilder};
 use verdict_sql::ast::Statement;
 use verdict_sql::dialect::{Dialect, GenericDialect};
@@ -1469,7 +1470,8 @@ pub(crate) fn mean_result_feasible(
     let Some(idx) = table.schema.index_of(crate::rewrite::columns::SUB_SIZE) else {
         return true;
     };
-    let total: f64 = table.columns[idx].iter().filter_map(|v| v.as_f64()).sum();
+    let sizes = &table.columns[idx];
+    let total: f64 = (0..table.num_rows()).filter_map(|r| sizes.f64_at(r)).sum();
     // Distinct output groups = distinct combinations of the verdict_g*
     // columns in the per-(group, sid) result.
     let group_idxs: Vec<usize> = (0..analysis.group_by.len())
@@ -1479,14 +1481,47 @@ pub(crate) fn mean_result_feasible(
                 .index_of(&format!("{}{i}", crate::rewrite::columns::GROUP_PREFIX))
         })
         .collect();
-    let mut groups = std::collections::HashSet::new();
-    for row in 0..table.num_rows() {
-        let key: Vec<verdict_engine::KeyValue> = group_idxs
-            .iter()
-            .map(|&c| verdict_engine::KeyValue::from_value(&table.value_at(row, c)))
-            .collect();
-        groups.insert(key);
-    }
-    let rows_per_group = total / groups.len().max(1) as f64;
+    let groups = group_rows(&key_columns(table, &group_idxs), table.num_rows()).num_groups();
+    let rows_per_group = total / groups.max(1) as f64;
     rows_per_group >= config.min_rows_per_group
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use verdict_engine::{Column, DataType, Field, Schema};
+    use verdict_sql::parse_statement;
+
+    #[test]
+    fn feasibility_counts_multi_column_groups_with_null_keys() {
+        let Ok(Statement::Query(q)) = parse_statement("SELECT a, b, count(*) FROM t GROUP BY a, b")
+        else {
+            unreachable!()
+        };
+        let analysis = analyze_query(&q).unwrap();
+        // Four groups across two nullable keys — (1,x) (1,NULL) (NULL,x)
+        // (NULL,NULL) — over seven cells; the NULL size cell is skipped, so
+        // the cells hold 40 rows: 10 per group.
+        let a = vec![Some(1), Some(1), None, None, Some(1), None, Some(1)];
+        let b = [Some("x"), None, Some("x"), None, Some("x"), None, None];
+        let sizes = vec![Some(8), Some(4), Some(5), Some(6), Some(7), Some(10), None];
+        let table = Table::new(
+            Schema::new(vec![
+                Field::new("verdict_g0", DataType::Int),
+                Field::new("verdict_g1", DataType::Str),
+                Field::new("verdict_sub_size", DataType::Int),
+            ]),
+            vec![
+                Column::from_opt_i64(a),
+                Column::from_opt_str(b.iter().map(|s| s.map(String::from)).collect()),
+                Column::from_opt_i64(sizes),
+            ],
+        )
+        .unwrap();
+        let mut config = VerdictConfig::default();
+        config.min_rows_per_group = 10.0;
+        assert!(mean_result_feasible(&analysis, &table, &config));
+        config.min_rows_per_group = 10.5;
+        assert!(!mean_result_feasible(&analysis, &table, &config));
+    }
 }

@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
-use verdict_engine::BlockScan;
+use verdict_engine::{BlockScan, Column, ColumnData};
 use verdict_sql::ast::{Query, Statement};
 use verdict_sql::printer::print_statement;
 
@@ -410,11 +410,18 @@ fn scale_prefix_totals(
         }
         let name = format!("{}{}", crate::rewrite::columns::EST_PREFIX, spec.index);
         if let Some(idx) = table.schema.index_of(&name) {
-            let scaled: Vec<Option<f64>> = table.columns[idx]
-                .iter()
-                .map(|v| v.as_f64().map(|x| x * inv_fraction))
-                .collect();
-            table.columns[idx] = verdict_engine::Column::from_opt_f64(scaled);
+            let col = &table.columns[idx];
+            table.columns[idx] = match col.data() {
+                ColumnData::Float64(v) => Column::from_parts(
+                    ColumnData::Float64(v.iter().map(|x| x * inv_fraction).collect()),
+                    col.validity().cloned(),
+                ),
+                _ => Column::from_opt_f64(
+                    (0..col.len())
+                        .map(|r| col.f64_at(r).map(|x| x * inv_fraction))
+                        .collect(),
+                ),
+            };
         }
     }
     table
@@ -437,5 +444,67 @@ impl Iterator for ProgressStream {
             self.state = StreamState::Done;
         }
         Some(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::planner::SamplePlan;
+    use verdict_engine::{DataType, Field, Schema, Table, Value};
+
+    #[test]
+    fn prefix_scaling_scales_totals_in_place_and_keeps_nulls() {
+        let Ok(Statement::Query(q)) =
+            verdict_sql::parse_statement("SELECT count(*) AS c, sum(x) AS s, avg(x) AS a FROM t")
+        else {
+            unreachable!()
+        };
+        let rewritten = RewriteOutput {
+            analysis: analyze_query(&q).unwrap(),
+            plan: SamplePlan {
+                choices: Vec::new(),
+                score: 0.0,
+                io_cost: 0,
+                effective_ratio: 1.0,
+            },
+            mean_query: None,
+            distinct_query: None,
+            extreme_query: None,
+            subsample_count: 4,
+        };
+        let fields = ["verdict_est_0", "verdict_est_1", "verdict_est_2"];
+        let table = Table::new(
+            Schema::new(vec![
+                Field::new(fields[0], DataType::Float),
+                Field::new(fields[1], DataType::Int),
+                Field::new(fields[2], DataType::Float),
+            ]),
+            vec![
+                Column::from_opt_f64(vec![Some(1.1), None, Some(-2.5)]),
+                Column::from_opt_i64(vec![None, Some(7), Some(3)]),
+                Column::from_opt_f64(vec![Some(0.3), Some(0.6), None]),
+            ],
+        )
+        .unwrap();
+        let inv = 10.0 / 3.0;
+        let scaled = scale_prefix_totals(table.clone(), &rewritten, inv);
+        // count and sum totals scale by n/k bit for bit — an Int64 total
+        // becomes Float64 — NULL cells stay NULL, and avg is untouched.
+        assert!(matches!(scaled.columns[1].data(), ColumnData::Float64(_)));
+        for r in 0..3 {
+            for c in 0..3 {
+                let want = match table.value_at(r, c).as_f64() {
+                    Some(x) if c < 2 => Value::Float(x * inv),
+                    _ => table.value_at(r, c),
+                };
+                let got = scaled.value_at(r, c);
+                assert_eq!(
+                    got.as_f64().map(f64::to_bits),
+                    want.as_f64().map(f64::to_bits)
+                );
+                assert_eq!(got.is_null(), want.is_null());
+            }
+        }
     }
 }

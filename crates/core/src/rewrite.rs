@@ -29,6 +29,7 @@ use crate::error::{VerdictError, VerdictResult};
 use crate::planner::{SamplePlan, TableRef};
 use crate::sample::{SampleMeta, SampleType, SAMPLING_PROB_COLUMN, SUBSAMPLE_DRAW_COLUMN};
 use std::collections::HashMap;
+use verdict_engine::Value;
 use verdict_sql::ast::*;
 use verdict_sql::dialect::GenericDialect;
 use verdict_sql::printer::print_expr;
@@ -85,6 +86,39 @@ impl OutputColumn {
     }
 }
 
+/// An output or HAVING expression bound once at analysis time, so the answer
+/// rewriter evaluates it per group and per subsample cell without looking at
+/// the AST again.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Bound {
+    /// The value of aggregate slot `i` (the `i`-th entry of
+    /// [`QueryAnalysis::aggregates`]).
+    Agg(usize),
+    /// The value of the `i`-th GROUP BY key.
+    Key(usize),
+    /// A literal; integers are widened to f64.
+    Lit(Value),
+    /// Arithmetic negation.
+    Neg(Box<Bound>),
+    /// Boolean negation.
+    Not(Box<Bound>),
+    /// A binary operator.
+    Binary(Box<Bound>, BinaryOp, Box<Bound>),
+    /// A node the middleware cannot evaluate (a scalar function, a column
+    /// that is not a group key, CASE, …): the whole evaluation fails.
+    Opaque,
+}
+
+/// An aggregate output expression bound to its slots.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundOutput {
+    /// The bound expression.
+    pub expr: Bound,
+    /// Every aggregate slot the expression mentions, nested calls included,
+    /// ascending.
+    pub slots: Vec<usize>,
+}
+
 /// Everything the rewriter and answer rewriter need to know about a query.
 #[derive(Debug, Clone)]
 pub struct QueryAnalysis {
@@ -96,10 +130,15 @@ pub struct QueryAnalysis {
     pub aggregates: Vec<AggregateSpec>,
     /// The final output columns, in order.
     pub output: Vec<OutputColumn>,
+    /// Per output column, its aggregate expression bound to slots (`None`
+    /// for group keys).
+    pub bound_output: Vec<Option<BoundOutput>>,
     /// Base tables referenced in the FROM clause (alias → info).
     pub tables: Vec<QueryTable>,
     /// HAVING predicate (applied by the answer rewriter).
     pub having: Option<Expr>,
+    /// `having` bound to slots.
+    pub bound_having: Option<Bound>,
     /// ORDER BY items (applied by the answer rewriter).
     pub order_by: Vec<OrderByItem>,
     /// LIMIT (applied by the answer rewriter).
@@ -235,7 +274,10 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
     // Projection analysis.
     let group_by = query.group_by.clone();
     let mut output = Vec::new();
+    let mut bound_output = Vec::new();
     let mut aggregates: Vec<AggregateSpec> = Vec::new();
+    // Printed text of each registered call, parallel to `aggregates`.
+    let mut keys: Vec<String> = Vec::new();
     for (i, item) in query.projection.iter().enumerate() {
         let expr = match item.expr() {
             Some(e) => e.clone(),
@@ -250,9 +292,14 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
             .map(|s| s.to_string())
             .unwrap_or_else(|| default_name(&expr, i));
         if expr.contains_aggregate() {
-            register_aggregates(&expr, &mut aggregates)?;
+            let slots = register_aggregates(&expr, &mut aggregates, &mut keys)?;
+            bound_output.push(Some(BoundOutput {
+                expr: bind(&expr, &keys, &group_by),
+                slots,
+            }));
             output.push(OutputColumn::Aggregate { expr, name });
         } else if let Some(gidx) = group_key_index(&expr, &group_by) {
+            bound_output.push(None);
             output.push(OutputColumn::GroupKey { index: gidx, name });
         } else {
             return Err(VerdictError::Unsupported(format!(
@@ -261,9 +308,13 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
             )));
         }
     }
-    if let Some(h) = &query.having {
-        register_aggregates(h, &mut aggregates)?;
-    }
+    let bound_having = match &query.having {
+        Some(h) => {
+            register_aggregates(h, &mut aggregates, &mut keys)?;
+            Some(bind(h, &keys, &group_by))
+        }
+        None => None,
+    };
     if aggregates.is_empty() {
         return Err(VerdictError::Unsupported(
             "query has no aggregate functions".into(),
@@ -274,8 +325,10 @@ pub fn analyze_query(query: &Query) -> VerdictResult<QueryAnalysis> {
         group_by,
         aggregates,
         output,
+        bound_output,
         tables,
         having: query.having.clone(),
+        bound_having,
         order_by: query.order_by.clone(),
         limit: query.limit,
         query,
@@ -337,33 +390,87 @@ fn record_join_columns(constraint: &Expr, tables: &mut [QueryTable]) {
     });
 }
 
-fn register_aggregates(expr: &Expr, aggregates: &mut Vec<AggregateSpec>) -> VerdictResult<()> {
+/// Registers every aggregate call in `expr` under its printed text (calls
+/// that print alike share one slot) and returns the slots `expr` mentions,
+/// ascending.
+fn register_aggregates(
+    expr: &Expr,
+    aggregates: &mut Vec<AggregateSpec>,
+    keys: &mut Vec<String>,
+) -> VerdictResult<Vec<usize>> {
     let mut err = None;
+    let mut slots = Vec::new();
     walk_expr(expr, &mut |e| {
         if err.is_some() {
             return;
         }
         if let Some(call) = e.as_aggregate() {
             let key = print_expr(e, &GenericDialect);
-            let already = aggregates
-                .iter()
-                .any(|a| print_expr(&Expr::Function(a.call.clone()), &GenericDialect) == key);
-            if already {
+            if let Some(slot) = keys.iter().position(|k| *k == key) {
+                slots.push(slot);
                 return;
             }
             match classify(call) {
-                Ok(class) => aggregates.push(AggregateSpec {
-                    index: aggregates.len(),
-                    call: call.clone(),
-                    class,
-                }),
+                Ok(class) => {
+                    slots.push(aggregates.len());
+                    aggregates.push(AggregateSpec {
+                        index: aggregates.len(),
+                        call: call.clone(),
+                        class,
+                    });
+                    keys.push(key);
+                }
                 Err(e) => err = Some(e),
             }
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if let Some(e) = err {
+        return Err(e);
+    }
+    slots.sort_unstable();
+    slots.dedup();
+    Ok(slots)
+}
+
+/// Binds `expr` for the answer rewriter: aggregate calls to their slots (by
+/// the printed text `keys` holds), group columns to their GROUP BY position
+/// (by case-insensitive name), and anything else the middleware cannot
+/// evaluate to [`Bound::Opaque`].  Parentheses and unary plus vanish.
+fn bind(expr: &Expr, keys: &[String], group_by: &[Expr]) -> Bound {
+    let sub = |e: &Expr| Box::new(bind(e, keys, group_by));
+    match expr {
+        Expr::Function(_) => {
+            let key = print_expr(expr, &GenericDialect);
+            keys.iter()
+                .position(|k| *k == key)
+                .map_or(Bound::Opaque, Bound::Agg)
+        }
+        Expr::Column { name, .. } => group_by
+            .iter()
+            .position(|g| matches!(g, Expr::Column { name: g, .. } if g.eq_ignore_ascii_case(name)))
+            .map_or(Bound::Opaque, Bound::Key),
+        Expr::Literal(l) => Bound::Lit(match l {
+            Literal::Null => Value::Null,
+            Literal::Boolean(b) => Value::Bool(*b),
+            Literal::Integer(i) => Value::Float(*i as f64),
+            Literal::Float(f) => Value::Float(*f),
+            Literal::String(s) => Value::Str(s.clone()),
+        }),
+        Expr::Nested(e)
+        | Expr::UnaryOp {
+            op: UnaryOp::Plus,
+            expr: e,
+        } => bind(e, keys, group_by),
+        Expr::UnaryOp {
+            op: UnaryOp::Minus,
+            expr,
+        } => Bound::Neg(sub(expr)),
+        Expr::UnaryOp {
+            op: UnaryOp::Not,
+            expr,
+        } => Bound::Not(sub(expr)),
+        Expr::BinaryOp { left, op, right } => Bound::Binary(sub(left), *op, sub(right)),
+        _ => Bound::Opaque,
     }
 }
 
