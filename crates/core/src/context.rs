@@ -19,7 +19,7 @@ use crate::cache::{AnswerCache, CacheStats};
 use crate::config::VerdictConfig;
 use crate::error::{VerdictError, VerdictResult};
 use crate::meta::MetaStore;
-use crate::obs::{Obs, QueryTrace, TraceBuilder};
+use crate::obs::{Obs, QueryTrace, Stat, TraceBuilder};
 use crate::planner::{PlanningContext, SamplePlanner};
 use crate::rewrite::{analyze_query, rewrite, QueryAnalysis, RewriteOutput};
 use crate::sample::builder::build_sample_sql;
@@ -285,8 +285,7 @@ impl VerdictContext {
         &self.meta
     }
 
-    /// The active backend (wrapped in routing instrumentation).  The method
-    /// keeps its pre-refactor name; `Connection` is an alias of [`Backend`].
+    /// The active backend (wrapped in routing instrumentation).
     pub fn connection(&self) -> &Arc<dyn Backend> {
         &self.conn
     }
@@ -1177,67 +1176,54 @@ impl VerdictContext {
         explain_table(rows)
     }
 
-    /// Renders the full metrics exposition (`SHOW METRICS`):
-    /// observability-registry counters and histograms plus cache, backend,
-    /// stream, and store counters, in Prometheus text format.  Serving-layer
-    /// gauges (queue depth, sessions) are appended by the server on top.
-    pub fn metrics_text(&self) -> String {
+    /// Every operator counter and gauge of this context, declared once:
+    /// `SHOW STATS` renders the list as its cache, streams, backend and
+    /// store sections, and `SHOW METRICS` as exposition series (see
+    /// [`crate::obs::Stat`]).  The store section is present only when the
+    /// context was opened over a data directory.
+    pub fn stats(&self) -> Vec<Stat> {
         let cache = self.cache_stats();
-        let backend = self.backend_stats();
         let streams = self.stream_stats();
-        let mut counters: Vec<(String, u64)> = vec![
-            ("verdict_cache_hits_total".into(), cache.hits),
-            ("verdict_cache_misses_total".into(), cache.misses),
-            ("verdict_cache_insertions_total".into(), cache.insertions),
-            (
-                "verdict_cache_invalidations_total".into(),
-                cache.invalidations,
-            ),
-            ("verdict_cache_evictions_total".into(), cache.evictions),
-            (
-                "verdict_backend_queries_total".into(),
-                backend.queries_routed,
-            ),
-            (
-                "verdict_backend_version_fallbacks_total".into(),
+        let backend = self.backend_stats();
+        let mut stats = vec![
+            Stat::gauge("cache", "cache_capacity", self.cache.capacity() as u64),
+            Stat::gauge("cache", "cache_entries", self.cache.len() as u64),
+            Stat::counter("cache", "cache_evictions", cache.evictions),
+            Stat::counter("cache", "cache_hits", cache.hits),
+            Stat::counter("cache", "cache_insertions", cache.insertions),
+            Stat::counter("cache", "cache_invalidations", cache.invalidations),
+            Stat::counter("cache", "cache_misses", cache.misses),
+            Stat::counter("streams", "stream_early_stops", streams.early_stops),
+            Stat::counter("streams", "stream_fallbacks", streams.fallbacks),
+            Stat::counter("streams", "stream_frames", streams.frames),
+            Stat::counter("streams", "streams_completed", streams.completed),
+            Stat::counter("streams", "streams_started", streams.started),
+            // Per-backend routing counters: which backend answered, how many
+            // statements it was handed, and how often a missing capability
+            // forced a degraded (but correct) path.
+            Stat::counter("backend", "backend_queries", backend.queries_routed),
+            Stat::counter("backend", "backend_scan_fallbacks", backend.scan_fallbacks),
+            Stat::counter(
+                "backend",
+                "backend_version_fallbacks",
                 backend.version_fallbacks,
             ),
-            (
-                "verdict_backend_scan_fallbacks_total".into(),
-                backend.scan_fallbacks,
-            ),
-            ("verdict_streams_started_total".into(), streams.started),
-            ("verdict_stream_frames_total".into(), streams.frames),
-            (
-                "verdict_stream_early_stops_total".into(),
-                streams.early_stops,
-            ),
-            ("verdict_streams_completed_total".into(), streams.completed),
-            ("verdict_stream_fallbacks_total".into(), streams.fallbacks),
+            Stat::gauge("backend", "scrambles", self.meta.len() as u64),
         ];
         for (k, v) in &backend.extra {
-            counters.push((format!("verdict_backend_{k}_total"), *v));
+            stats.push(Stat::counter("backend", format!("backend_{k}"), *v));
         }
         if let Some(store) = self.store_stats() {
-            counters.push(("verdict_store_pages_read_total".into(), store.pages_read));
-            counters.push((
-                "verdict_store_pages_written_total".into(),
-                store.pages_written,
-            ));
-            counters.push(("verdict_store_wal_records_total".into(), store.wal_records));
-            counters.push(("verdict_store_wal_syncs_total".into(), store.wal_syncs));
-            counters.push(("verdict_store_recoveries_total".into(), store.recoveries));
-            counters.push(("verdict_store_checkpoints_total".into(), store.checkpoints));
+            stats.extend([
+                Stat::counter("store", "store_checkpoints", store.checkpoints),
+                Stat::counter("store", "store_pages_read", store.pages_read),
+                Stat::counter("store", "store_pages_written", store.pages_written),
+                Stat::counter("store", "store_recoveries", store.recoveries),
+                Stat::counter("store", "store_wal_records", store.wal_records),
+                Stat::counter("store", "store_wal_syncs", store.wal_syncs),
+            ]);
         }
-        let gauges: Vec<(String, u64)> = vec![
-            ("verdict_scrambles".into(), self.meta.len() as u64),
-            ("verdict_cache_entries".into(), self.cache.len() as u64),
-            (
-                "verdict_cache_capacity".into(),
-                self.cache.capacity() as u64,
-            ),
-        ];
-        self.obs.render_prometheus(&counters, &gauges)
+        stats
     }
 
     // ------------------------------------------------------------------

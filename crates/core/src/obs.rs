@@ -15,6 +15,12 @@
 //! * **counters** (statements by class, slow queries) rendered together with
 //!   the histograms as Prometheus-style text exposition by `SHOW METRICS`.
 //!
+//! Every other operator counter and gauge is declared once, as a [`Stat`] in
+//! the list its layer returns (`VerdictContext::stats` for cache, streams,
+//! backend and store; the server's own list for `serving`).  [`stats_table`]
+//! renders such a list as the `SHOW STATS` table and [`write_stat_series`]
+//! as exposition series, so the two views cannot drift apart.
+//!
 //! Tracing is always on: the cache-hot dispatch path records two spans and
 //! one histogram sample, which keeps instrumentation overhead within the
 //! PR 4 dispatch bar (≤2% on the `session_dispatch` bench).
@@ -24,9 +30,11 @@
 //! `verdict_slow_queries_total`.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use verdict_engine::{Table, TableBuilder};
 
 /// Number of log-spaced histogram buckets: bucket `i` covers durations in
 /// `(2^(i-1), 2^i]` microseconds, the last bucket is unbounded (`+Inf`).
@@ -457,14 +465,9 @@ impl Obs {
     }
 
     /// Renders the registry as Prometheus-style text exposition, together
-    /// with caller-supplied counters and gauges (cache/backend/store
-    /// counters from the context; queue and session gauges from the
-    /// server).  Histograms with no samples are omitted.
-    pub fn render_prometheus(
-        &self,
-        counters: &[(String, u64)],
-        gauges: &[(String, u64)],
-    ) -> String {
+    /// with the caller's stats (see [`write_stat_series`]).  Histograms with
+    /// no samples are omitted.
+    pub fn render_prometheus(&self, stats: &[Stat]) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("# TYPE verdict_statements_total counter\n");
         for (i, class) in CLASSES.iter().enumerate() {
@@ -478,12 +481,7 @@ impl Obs {
             "verdict_slow_queries_total {}\n",
             self.slow_queries()
         ));
-        for (name, v) in counters {
-            append_counter(&mut out, name, *v);
-        }
-        for (name, v) in gauges {
-            append_gauge(&mut out, name, *v);
-        }
+        write_stat_series(&mut out, stats);
         render_histogram_family(
             &mut out,
             "verdict_statement_duration_us",
@@ -500,14 +498,87 @@ impl Obs {
     }
 }
 
-/// Appends one `# TYPE … counter` line pair to a metrics exposition.
-pub fn append_counter(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
+// ---------------------------------------------------------------------------
+// Stats: one declared list, two renderings
+// ---------------------------------------------------------------------------
+
+/// `SHOW STATS` sections in display order.
+pub const SECTIONS: &[&str] = &["cache", "streams", "backend", "store", "serving"];
+
+/// Whether a stat only grows or moves both ways.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// A count since start; exposed as `verdict_<name>_total`.
+    Counter,
+    /// A current level; exposed as `verdict_<name>`.
+    Gauge,
 }
 
-/// Appends one `# TYPE … gauge` line pair to a metrics exposition.
-pub fn append_gauge(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
+/// One operator-facing stat: a `SHOW STATS` row and a `SHOW METRICS` series.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stat {
+    /// The `SHOW STATS` section (one of [`SECTIONS`]).
+    pub section: &'static str,
+    /// The `SHOW STATS` row key, and the stem of the metric name.
+    pub name: String,
+    /// Counter or gauge.
+    pub kind: StatKind,
+    /// The current value.
+    pub value: u64,
+}
+
+impl Stat {
+    /// A counter in `section`.
+    pub fn counter(section: &'static str, name: impl Into<String>, value: u64) -> Stat {
+        Stat {
+            section,
+            name: name.into(),
+            kind: StatKind::Counter,
+            value,
+        }
+    }
+
+    /// A gauge in `section`.
+    pub fn gauge(section: &'static str, name: impl Into<String>, value: u64) -> Stat {
+        Stat {
+            section,
+            name: name.into(),
+            kind: StatKind::Gauge,
+            value,
+        }
+    }
+}
+
+/// Sorts `stats` into `SHOW STATS` order (section rank per [`SECTIONS`],
+/// then name) and renders them as the (`section`, `stat`, `value`) table.
+/// The order is pinned by tests, so dashboards can scrape positions.
+pub fn stats_table(stats: &mut [Stat]) -> Table {
+    let rank = |section: &str| {
+        SECTIONS
+            .iter()
+            .position(|s| *s == section)
+            .unwrap_or(SECTIONS.len())
+    };
+    stats.sort_by(|a, b| (rank(a.section), &a.name).cmp(&(rank(b.section), &b.name)));
+    TableBuilder::new()
+        .str_column("section", stats.iter().map(|s| s.section.into()).collect())
+        .str_column("stat", stats.iter().map(|s| s.name.clone()).collect())
+        .int_column("value", stats.iter().map(|s| s.value as i64).collect())
+        .build()
+        .expect("stats table construction cannot fail")
+}
+
+/// Appends each stat as a `# TYPE` line and a sample line:
+/// `verdict_<name>_total` for counters, `verdict_<name>` for gauges.
+pub fn write_stat_series(out: &mut String, stats: &[Stat]) {
+    for stat in stats {
+        let (suffix, kind) = match stat.kind {
+            StatKind::Counter => ("_total", "counter"),
+            StatKind::Gauge => ("", "gauge"),
+        };
+        let name = format!("verdict_{}{suffix}", stat.name);
+        let _ = write!(out, "# TYPE {name} {kind}\n{name} {}\n", stat.value);
+    }
 }
 
 fn render_histogram_family<'a>(
@@ -687,13 +758,15 @@ mod tests {
         let obs = Obs::new(8);
         obs.class_histogram("query").record_micros(50);
         obs.stage_histogram("rewrite").record_micros(10);
-        let text = obs.render_prometheus(
-            &[("verdict_cache_hits_total".into(), 3)],
-            &[("verdict_queue_depth".into(), 0)],
-        );
+        let text = obs.render_prometheus(&[
+            Stat::counter("cache", "cache_hits", 3),
+            Stat::gauge("serving", "queue_depth", 0),
+        ]);
         assert!(text.contains("# TYPE verdict_statements_total counter"));
-        assert!(text.contains("verdict_cache_hits_total 3"));
-        assert!(text.contains("# TYPE verdict_queue_depth gauge"));
+        assert!(
+            text.contains("# TYPE verdict_cache_hits_total counter\nverdict_cache_hits_total 3\n")
+        );
+        assert!(text.contains("# TYPE verdict_queue_depth gauge\nverdict_queue_depth 0\n"));
         assert!(
             text.contains("verdict_statement_duration_us_bucket{class=\"query\",le=\"+Inf\"} 1")
         );
@@ -708,5 +781,34 @@ mod tests {
         let sums = text.matches("_sum{").count();
         let counts = text.matches("_count{").count();
         assert_eq!(sums, counts);
+    }
+
+    #[test]
+    fn stats_table_orders_by_section_then_name() {
+        let mut stats = vec![
+            Stat::counter("serving", "errors", 1),
+            Stat::counter("backend", "backend_queries", 2),
+            Stat::gauge("cache", "cache_entries", 3),
+            Stat::counter("cache", "cache_capacity", 4),
+            Stat::counter("store", "store_wal_syncs", 5),
+            Stat::counter("streams", "streams_started", 6),
+        ];
+        let table = stats_table(&mut stats);
+        let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "cache_capacity",
+                "cache_entries",
+                "streams_started",
+                "backend_queries",
+                "store_wal_syncs",
+                "errors"
+            ]
+        );
+        assert_eq!(table.num_rows(), 6);
+        assert_eq!(table.value(5, 0).to_string(), "serving");
+        assert_eq!(table.value(5, 1).to_string(), "errors");
+        assert_eq!(table.value(5, 2).as_i64(), Some(1));
     }
 }

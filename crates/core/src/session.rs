@@ -27,7 +27,7 @@
 use crate::config::VerdictConfig;
 use crate::context::{VerdictAnswer, VerdictContext};
 use crate::error::{VerdictError, VerdictResult};
-use crate::obs::QueryTrace;
+use crate::obs::{stats_table, QueryTrace};
 use crate::progress::ProgressStream;
 use crate::sample::maintenance::Staleness;
 use crate::sample::{SampleMeta, SampleType};
@@ -448,11 +448,13 @@ impl VerdictSession {
                 Ok(VerdictResponse::ScramblesRefreshed(refreshed))
             }
             Statement::ShowScrambles => Ok(VerdictResponse::Scrambles(self.show_scrambles()?)),
-            Statement::ShowStats => Ok(VerdictResponse::Stats(self.show_stats())),
+            Statement::ShowStats => Ok(VerdictResponse::Stats(stats_table(&mut self.ctx.stats()))),
             Statement::ShowProfile { last } => Ok(VerdictResponse::Profile(
                 self.show_profile(last.map_or(10, |n| n as usize)),
             )),
-            Statement::ShowMetrics => Ok(VerdictResponse::Metrics(self.ctx.metrics_text())),
+            Statement::ShowMetrics => Ok(VerdictResponse::Metrics(
+                self.ctx.obs().render_prometheus(&self.ctx.stats()),
+            )),
             Statement::SetOption { name, value } => {
                 let (name, rendered) = self.set_option(name, value)?;
                 Ok(VerdictResponse::OptionSet {
@@ -612,117 +614,6 @@ impl VerdictSession {
             },
             Err(_) => "base_missing".to_string(),
         }
-    }
-
-    /// Builds the `SHOW STATS` table: middleware counters as
-    /// (section, stat, value) rows, grouped into stable sections — `cache`,
-    /// `streams`, `backend`, `store` — with stats sorted alphabetically
-    /// within each section.  The serving layer appends its own `serving`
-    /// section rows server-side; the ordering is pinned by a test, so
-    /// dashboards can scrape positions safely.
-    fn show_stats(&self) -> Table {
-        let cache = self.ctx.cache_stats();
-        let streams = self.ctx.stream_stats();
-        let backend = self.ctx.backend_stats();
-        let mut rows: Vec<(&'static str, String, i64)> = vec![
-            (
-                "cache",
-                "cache_capacity".into(),
-                self.ctx.cache().capacity() as i64,
-            ),
-            (
-                "cache",
-                "cache_entries".into(),
-                self.ctx.cache().len() as i64,
-            ),
-            ("cache", "cache_evictions".into(), cache.evictions as i64),
-            ("cache", "cache_hits".into(), cache.hits as i64),
-            ("cache", "cache_insertions".into(), cache.insertions as i64),
-            (
-                "cache",
-                "cache_invalidations".into(),
-                cache.invalidations as i64,
-            ),
-            ("cache", "cache_misses".into(), cache.misses as i64),
-            (
-                "streams",
-                "stream_early_stops".into(),
-                streams.early_stops as i64,
-            ),
-            (
-                "streams",
-                "stream_fallbacks".into(),
-                streams.fallbacks as i64,
-            ),
-            ("streams", "stream_frames".into(), streams.frames as i64),
-            (
-                "streams",
-                "streams_completed".into(),
-                streams.completed as i64,
-            ),
-            ("streams", "streams_started".into(), streams.started as i64),
-            // Per-backend routing counters: which backend answered, how many
-            // statements it was handed, and how often a missing capability
-            // forced a degraded (but correct) path.
-            (
-                "backend",
-                "backend_queries".into(),
-                backend.queries_routed as i64,
-            ),
-            (
-                "backend",
-                "backend_scan_fallbacks".into(),
-                backend.scan_fallbacks as i64,
-            ),
-            (
-                "backend",
-                "backend_version_fallbacks".into(),
-                backend.version_fallbacks as i64,
-            ),
-            ("backend", "scrambles".into(), self.ctx.meta().len() as i64),
-        ];
-        for (k, v) in &backend.extra {
-            rows.push(("backend", format!("backend_{k}"), *v as i64));
-        }
-        // Persistent-store activity, present only when the context was
-        // opened over a data directory.
-        if let Some(store) = self.ctx.store_stats() {
-            rows.push((
-                "store",
-                "store_checkpoints".into(),
-                store.checkpoints as i64,
-            ));
-            rows.push(("store", "store_pages_read".into(), store.pages_read as i64));
-            rows.push((
-                "store",
-                "store_pages_written".into(),
-                store.pages_written as i64,
-            ));
-            rows.push(("store", "store_recoveries".into(), store.recoveries as i64));
-            rows.push((
-                "store",
-                "store_wal_records".into(),
-                store.wal_records as i64,
-            ));
-            rows.push(("store", "store_wal_syncs".into(), store.wal_syncs as i64));
-        }
-        let rank = |s: &str| match s {
-            "cache" => 0u8,
-            "streams" => 1,
-            "backend" => 2,
-            "store" => 3,
-            _ => 4,
-        };
-        rows.sort_by(|a, b| (rank(a.0), a.1.as_str()).cmp(&(rank(b.0), b.1.as_str())));
-        TableBuilder::new()
-            .str_column(
-                "section",
-                rows.iter().map(|(s, _, _)| s.to_string()).collect(),
-            )
-            .str_column("stat", rows.iter().map(|(_, k, _)| k.clone()).collect())
-            .int_column("value", rows.iter().map(|(_, _, v)| *v).collect())
-            .build()
-            .expect("stats table construction cannot fail")
     }
 
     /// Applies `SET <option> = <value>`, returning the canonical option name

@@ -3,8 +3,7 @@
 //! VerdictDB talks to the underlying database exclusively through a SQL
 //! string interface (JDBC/ODBC in the paper).  [`Backend`] models that
 //! interface; [`Engine`] is the in-memory implementation used as the
-//! substitute for Impala / Spark SQL / Redshift.  `Connection` remains as
-//! a backward-compatible alias for the trait's pre-refactor name.
+//! substitute for Impala / Spark SQL / Redshift.
 
 use crate::catalog::Catalog;
 use crate::error::EngineResult;
@@ -135,9 +134,6 @@ pub trait Backend: Send + Sync {
         None
     }
 }
-
-/// Backward-compatible alias for [`Backend`]'s pre-refactor name.
-pub use self::Backend as Connection;
 
 /// The in-memory SQL engine: a catalog plus an executor per statement.
 #[derive(Clone)]

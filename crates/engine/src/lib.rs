@@ -9,10 +9,10 @@
 //! requires (§2.1 of the paper): `rand()`, hash functions, window functions,
 //! `CREATE TABLE … AS SELECT`, equi-joins, grouping/aggregation, and derived
 //! tables.  Because VerdictDB interacts with the engine purely through SQL
-//! text (the [`Backend`] trait, historically named `Connection`), the
-//! middleware code paths exercised are identical to those against a
-//! production engine — and any other [`Backend`] implementation (such as the
-//! server crate's remote wire-protocol backend) can be swapped in.
+//! text (the [`Backend`] trait), the middleware code paths exercised are
+//! identical to those against a production engine — and any other
+//! [`Backend`] implementation (such as the server crate's remote
+//! wire-protocol backend) can be swapped in.
 //!
 //! Per-engine latency *profiles* ([`profile::EngineProfile`]) model the fixed
 //! overhead and per-row scan cost of the paper's three engines so that the
@@ -56,7 +56,7 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use column::{Bitmap, Column, ColumnData};
-pub use engine::{Backend, Connection, Engine, ExecStats, QueryResult};
+pub use engine::{Backend, Engine, ExecStats, QueryResult};
 pub use error::{EngineError, EngineResult};
 pub use exec::progressive::{BlockScan, ProgressiveScan};
 pub use parallel::{GroupStrategy, ThreadPool, MORSEL_ROWS};

@@ -4,11 +4,8 @@
 //! connection's session, applies the statement's shed tier, executes, and
 //! serialises response frames through the connection's [`ConnSink`] (which
 //! backpressures against the per-connection outbound buffer — workers never
-//! touch sockets).  The SQL dispatch itself is unchanged from the
-//! thread-per-session server: `SQL <statement>` is the protocol, the pre-SQL
-//! verbs (`QUERY`, `EXACT`, `SAMPLE`, `REFRESH`, `STATS`) are deprecated
-//! aliases rewritten into SQL, `STREAM <query>` answers with a multi-frame
-//! progressive response.
+//! touch sockets).  `SQL <statement>` is the protocol; `STREAM <query>`
+//! answers with a multi-frame progressive response.
 
 use crate::protocol::{
     write_coded_error_frame, write_error_frame, write_result_frame, write_stream_done,
@@ -17,9 +14,8 @@ use crate::protocol::{
 use crate::server::{ConnSink, Shared, SinkError, Task};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
-use verdict_core::{
-    SampleMeta, SampleType, ShedTier, VerdictAnswer, VerdictResponse, VerdictSession,
-};
+use verdict_core::obs::{stats_table, write_stat_series, Stat};
+use verdict_core::{ShedTier, VerdictAnswer, VerdictResponse, VerdictSession};
 
 fn deadline_expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -74,9 +70,6 @@ pub(crate) fn run_task(shared: &Shared, task: &Task) {
 }
 
 /// Dispatches one request line, appending the full response frame to `out`.
-///
-/// `SQL <statement>` is the protocol; everything else is a deprecated alias
-/// rewritten into SQL and pushed through the same per-connection session.
 /// (`PING`/`QUIT`/`SHUTDOWN` never reach the workers — the I/O shards
 /// answer them inline.)
 fn handle_request(
@@ -92,30 +85,6 @@ fn handle_request(
     };
     match verb.to_ascii_uppercase().as_str() {
         "SQL" => dispatch_sql(rest, shared, task, session, out),
-        // ---- deprecated aliases, kept for old clients -------------------
-        "QUERY" => dispatch_sql(rest, shared, task, session, out),
-        "EXACT" => dispatch_sql(&format!("BYPASS {rest}"), shared, task, session, out),
-        "SAMPLE" => match legacy_sample_to_sql(rest) {
-            Ok(sql) => dispatch_sql(&sql, shared, task, session, out),
-            Err(msg) => {
-                shared.count_error();
-                write_error_frame(out, msg);
-            }
-        },
-        "REFRESH" => {
-            let mut parts = rest.split_whitespace();
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some(base), Some(batch), None) => {
-                    let sql = format!("REFRESH SCRAMBLES {base} FROM {batch}");
-                    dispatch_sql(&sql, shared, task, session, out);
-                }
-                _ => {
-                    shared.count_error();
-                    write_error_frame(out, "usage: REFRESH <base_table> <batch_table>");
-                }
-            }
-        }
-        "STATS" => dispatch_sql("SHOW STATS", shared, task, session, out),
         // A bare STREAM with no query (the with-query form streams frames).
         "STREAM" => {
             shared.count_error();
@@ -250,43 +219,6 @@ fn write_answer_stream_frame(
     write_stream_frame(out, &header, Some(&answer.table), &errors, &extras);
 }
 
-/// `SAMPLE <table> <uniform|hashed|stratified> [col,col,…]` → `CREATE
-/// SCRAMBLE` text with the same derived scramble name the old handler used.
-fn legacy_sample_to_sql(rest: &str) -> Result<String, &'static str> {
-    let mut parts = rest.split_whitespace();
-    let (table, kind) = match (parts.next(), parts.next()) {
-        (Some(t), Some(k)) => (t, k.to_ascii_lowercase()),
-        _ => return Err("usage: SAMPLE <table> <type> [columns]"),
-    };
-    let columns: Vec<String> = parts
-        .next()
-        .map(|c| c.split(',').map(|s| s.to_string()).collect())
-        .unwrap_or_default();
-    if parts.next().is_some() {
-        // A space-separated column list would silently build a sample over
-        // the wrong column set — reject instead of truncating.
-        return Err(
-            "unexpected trailing arguments; columns must be comma-separated without spaces",
-        );
-    }
-    let sample_type = match kind.as_str() {
-        "uniform" => SampleType::Uniform,
-        "hashed" if !columns.is_empty() => SampleType::Hashed {
-            columns: columns.clone(),
-        },
-        "stratified" if !columns.is_empty() => SampleType::Stratified {
-            columns: columns.clone(),
-        },
-        _ => return Err("sample type must be uniform, or hashed/stratified with columns"),
-    };
-    let name = SampleMeta::table_name_for(table, &sample_type);
-    let mut sql = format!("CREATE SCRAMBLE {name} FROM {table} METHOD {kind}");
-    if !columns.is_empty() {
-        sql.push_str(&format!(" ON {}", columns.join(", ")));
-    }
-    Ok(sql)
-}
-
 /// Runs one SQL statement through the connection's session and serialises
 /// the unified [`VerdictResponse`] into a protocol frame.
 fn dispatch_sql(
@@ -338,74 +270,49 @@ fn write_answer_frame(answer: &VerdictAnswer, tier: ShedTier, out: &mut String) 
     write_result_frame(out, &header, Some(&answer.table), &errors, &extras);
 }
 
-/// The serving-layer `(stat, value)` rows appended to `SHOW STATS` and
-/// exported by `SHOW METRICS` — transport- and admission-level counters the
-/// core session cannot see.  Alphabetically ordered, matching the core's
-/// within-section ordering contract.
-fn serving_stats(shared: &Shared) -> Vec<(&'static str, u64)> {
+/// The serving section of `SHOW STATS` and `SHOW METRICS`: transport- and
+/// admission-level stats the core session cannot see.
+fn serving_stats(shared: &Shared) -> Vec<Stat> {
     let stats = &shared.stats;
     let adm = shared.admission.stats();
+    let counter = |name, value| Stat::counter("serving", name, value);
+    let gauge = |name, value| Stat::gauge("serving", name, value);
     vec![
-        (
+        counter(
             "deadline_misses",
             stats.deadline_misses.load(Ordering::Relaxed),
         ),
-        ("draining", shared.draining.load(Ordering::SeqCst) as u64),
-        ("errors", stats.errors.load(Ordering::Relaxed)),
-        ("exec_workers", shared.cfg.workers as u64),
-        ("io_shards", shared.cfg.io_shards as u64),
-        ("queries_admitted", adm.admitted),
-        ("queries_refused", adm.refused),
-        (
+        gauge("draining", shared.draining.load(Ordering::SeqCst) as u64),
+        counter("errors", stats.errors.load(Ordering::Relaxed)),
+        gauge("exec_workers", shared.cfg.workers as u64),
+        gauge("io_shards", shared.cfg.io_shards as u64),
+        counter("queries_admitted", adm.admitted),
+        counter("queries_refused", adm.refused),
+        counter(
             "queries_served",
             stats.queries_served.load(Ordering::Relaxed),
         ),
-        ("queries_shed", adm.shed),
-        ("queue_capacity", shared.cfg.queue_capacity as u64),
-        ("queue_depth", shared.admission.depth() as u64),
-        ("queue_peak_depth", adm.peak_depth),
-        (
+        counter("queries_shed", adm.shed),
+        gauge("queue_capacity", shared.cfg.queue_capacity as u64),
+        gauge("queue_depth", shared.admission.depth() as u64),
+        gauge("queue_peak_depth", adm.peak_depth),
+        gauge(
             "sessions_active",
             stats.sessions_active.load(Ordering::Relaxed),
         ),
-        (
+        counter(
             "sessions_opened",
             stats.sessions_opened.load(Ordering::Relaxed),
         ),
     ]
 }
 
-/// Rebuilds the core's sectioned `SHOW STATS` table with the `serving`
-/// section appended (section rank: cache, streams, backend, store, serving).
-fn append_serving_section(t: &verdict_engine::Table, shared: &Shared) -> verdict_engine::Table {
-    let mut section: Vec<String> = Vec::with_capacity(t.num_rows() + 14);
-    let mut stat: Vec<String> = Vec::with_capacity(section.capacity());
-    let mut value: Vec<i64> = Vec::with_capacity(section.capacity());
-    for row in 0..t.num_rows() {
-        section.push(t.value(row, 0).to_string());
-        stat.push(t.value(row, 1).to_string());
-        value.push(t.value(row, 2).as_i64().unwrap_or(0));
-    }
-    for (k, v) in serving_stats(shared) {
-        section.push("serving".to_string());
-        stat.push(k.to_string());
-        value.push(v as i64);
-    }
-    verdict_engine::TableBuilder::new()
-        .str_column("section", section)
-        .str_column("stat", stat)
-        .int_column("value", value)
-        .build()
-        .expect("stats table construction cannot fail")
-}
-
 /// Serialises the non-answer [`VerdictResponse`] variants.  Tabular
 /// responses (`SHOW SCRAMBLES` / `SHOW STATS` / `EXPLAIN` / `SHOW PROFILE`)
-/// ship the table itself; `SHOW STATS` appends the `serving` section and
-/// mirrors its (stat, value) rows as `S key value` lines (the pre-SQL
-/// `STATS` format); `SHOW METRICS` appends the serving-layer gauges and
-/// counters to the core's exposition and ships it as a one-column table of
-/// text lines.
+/// ship the table itself; `SHOW STATS` re-renders the context's stats with
+/// the `serving` section added and mirrors each row as an `S key value`
+/// line; `SHOW METRICS` appends the serving series to the core's exposition
+/// and ships it as a one-column table of text lines.
 fn write_response_frame(
     response: &VerdictResponse,
     start: Instant,
@@ -423,8 +330,6 @@ fn write_response_frame(
         VerdictResponse::ScramblesCreated(metas) => {
             extras.push(("scrambles_created".to_string(), metas.len().to_string()));
             if let [meta] = metas.as_slice() {
-                // Legacy keys old SAMPLE clients read.
-                extras.push(("sample_table".to_string(), meta.sample_table.clone()));
                 extras.push(("sample_rows".to_string(), meta.sample_rows.to_string()));
                 extras.push(("base_rows".to_string(), meta.base_rows.to_string()));
             }
@@ -445,69 +350,22 @@ fn write_response_frame(
             header.cols = t.schema.fields.len();
             table = Some(t.clone());
         }
-        VerdictResponse::Stats(t) => {
-            let full = append_serving_section(t, shared);
+        VerdictResponse::Stats(_) => {
+            let mut stats = shared.ctx.stats();
+            stats.extend(serving_stats(shared));
+            let full = stats_table(&mut stats);
             header.rows = full.num_rows();
             header.cols = full.schema.fields.len();
-            for row in 0..full.num_rows() {
-                extras.push((
-                    full.value(row, 1).to_string(),
-                    full.value(row, 2).to_string(),
-                ));
+            for stat in &stats {
+                extras.push((stat.name.clone(), stat.value.to_string()));
             }
             table = Some(full);
         }
         VerdictResponse::Metrics(text) => {
-            // The core's exposition plus the serving layer's own series:
-            // queue/session gauges and admission counters per scrape.
+            // The core's exposition was rendered inside the statement, before
+            // this scrape was itself counted; the serving series follow it.
             let mut full = text.clone();
-            let stats = &shared.stats;
-            let adm = shared.admission.stats();
-            use verdict_core::obs::{append_counter, append_gauge};
-            append_counter(
-                &mut full,
-                "verdict_sessions_opened_total",
-                stats.sessions_opened.load(Ordering::Relaxed),
-            );
-            append_counter(
-                &mut full,
-                "verdict_queries_served_total",
-                stats.queries_served.load(Ordering::Relaxed),
-            );
-            append_counter(
-                &mut full,
-                "verdict_errors_total",
-                stats.errors.load(Ordering::Relaxed),
-            );
-            append_counter(
-                &mut full,
-                "verdict_deadline_misses_total",
-                stats.deadline_misses.load(Ordering::Relaxed),
-            );
-            append_counter(&mut full, "verdict_queries_admitted_total", adm.admitted);
-            append_counter(&mut full, "verdict_queries_shed_total", adm.shed);
-            append_counter(&mut full, "verdict_queries_refused_total", adm.refused);
-            append_gauge(
-                &mut full,
-                "verdict_sessions_active",
-                stats.sessions_active.load(Ordering::Relaxed),
-            );
-            append_gauge(
-                &mut full,
-                "verdict_queue_depth",
-                shared.admission.depth() as u64,
-            );
-            append_gauge(
-                &mut full,
-                "verdict_queue_capacity",
-                shared.cfg.queue_capacity as u64,
-            );
-            append_gauge(&mut full, "verdict_queue_peak_depth", adm.peak_depth);
-            append_gauge(
-                &mut full,
-                "verdict_draining",
-                shared.draining.load(Ordering::SeqCst) as u64,
-            );
+            write_stat_series(&mut full, &serving_stats(shared));
             let lines: Vec<String> = full.lines().map(|l| l.to_string()).collect();
             let t = verdict_engine::TableBuilder::new()
                 .str_column("metrics", lines)

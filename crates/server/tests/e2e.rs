@@ -206,9 +206,10 @@ fn sample_and_refresh_commands_round_trip() {
         .unwrap();
     let mut client = VerdictClient::connect(handle.addr()).unwrap();
 
-    let built = client.create_sample("sales", "uniform", &[]).unwrap();
-    let sample_table = built.extra("sample_table").unwrap().to_string();
-    assert!(sample_table.contains("sales"));
+    let built = client
+        .sql("CREATE SCRAMBLE sales_uniform FROM sales METHOD uniform")
+        .unwrap();
+    assert_eq!(built.extra("scramble"), Some("sales_uniform"));
     let sample_rows: u64 = built.extra("sample_rows").unwrap().parse().unwrap();
     assert!(sample_rows > 0);
 
@@ -245,6 +246,11 @@ fn errors_are_frames_and_sessions_survive_them() {
     }
     match client.request("FROBNICATE x") {
         Err(ClientError::Server(msg)) => assert!(msg.contains("unknown command")),
+        other => panic!("expected server error, got {other:?}"),
+    }
+    // The pre-SQL verbs are gone: a former verb is an unknown command too.
+    match client.request("QUERY SELECT 1") {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("unknown command QUERY")),
         other => panic!("expected server error, got {other:?}"),
     }
     // The session is still usable after both error frames.

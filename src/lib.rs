@@ -40,8 +40,7 @@ pub use verdict_core::{
     VerdictSession,
 };
 pub use verdict_engine::{
-    Backend, Connection, Engine, EngineProfile, GroupStrategy, StoreHandle, Table, TableBuilder,
-    Value,
+    Backend, Engine, EngineProfile, GroupStrategy, StoreHandle, Table, TableBuilder, Value,
 };
 pub use verdict_server::{RemoteBackend, ServerHandle, VerdictServer};
 pub use verdict_store::{Store, StoreStats};

@@ -1,6 +1,6 @@
 //! Observability acceptance tests: `EXPLAIN [ANALYZE]`, `SHOW PROFILE`,
-//! `SHOW METRICS`, the sectioned `SHOW STATS` ordering, and the
-//! `slow_query_ms` threshold.
+//! `SHOW METRICS`, the sectioned `SHOW STATS` ordering, the agreement of
+//! `SHOW STATS` with `SHOW METRICS`, and the `slow_query_ms` threshold.
 //!
 //! The load-bearing bar is the `EXPLAIN ANALYZE` contiguity invariant:
 //! per-stage spans are closed back-to-back (each `begin` ends the previous
@@ -8,13 +8,17 @@
 //! wall time — the test holds the span sum within 10% of `@total` (plus a
 //! small absolute floor for per-span microsecond truncation).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use verdictdb::core::session::{VerdictResponse, VerdictSession};
-use verdictdb::{Backend, Engine, Table, TableBuilder, Value, VerdictConfig, VerdictContext};
+use verdictdb::server::VerdictClient;
+use verdictdb::{
+    Engine, Store, StoreHandle, Table, TableBuilder, Value, VerdictConfig, VerdictContext,
+    VerdictServer,
+};
 
 /// Deterministic 50k-row sales table (same shape the session suite uses).
-fn sales_context(seed: u64) -> Arc<VerdictContext> {
+fn sales_engine(seed: u64) -> Arc<Engine> {
     let engine = Engine::with_seed(seed);
     let rows = 50_000usize;
     let table = TableBuilder::new()
@@ -30,14 +34,21 @@ fn sales_context(seed: u64) -> Arc<VerdictContext> {
         .build()
         .unwrap();
     engine.register_table("sales", table);
-    let conn: Arc<dyn Backend> = Arc::new(engine);
+    Arc::new(engine)
+}
+
+fn sales_config() -> VerdictConfig {
     let mut config = VerdictConfig::for_testing();
     config.answer_cache_capacity = 64;
     // Leave room in the I/O budget for a 0.05-ratio scramble, so the
     // approximate plan (and its rewrite/assemble spans) is actually taken.
     config.sampling_ratio = 0.05;
     config.io_budget = 0.12;
-    Arc::new(VerdictContext::new(conn, config))
+    config
+}
+
+fn sales_context(seed: u64) -> Arc<VerdictContext> {
+    Arc::new(VerdictContext::new(sales_engine(seed), sales_config()))
 }
 
 fn str_at(t: &Table, row: usize, col: usize) -> String {
@@ -352,6 +363,118 @@ fn show_metrics_exposition_is_well_formed_and_monotone() {
         count_of(&second, show_key) > count_of(&first, show_key),
         "the SHOW METRICS scrape itself is a counted statement"
     );
+}
+
+/// Checks `SHOW STATS` rows against a `SHOW METRICS` exposition: every row
+/// has exactly one `verdict_<stat>` (gauge) or `verdict_<stat>_total`
+/// (counter) series of the matching TYPE, and every non-histogram series
+/// except the statement counters maps back to a row.  With
+/// `compare_values`, each series carries its row's value.
+fn assert_stats_match_metrics(rows: &[(String, i64)], metrics: &str, compare_values: bool) {
+    let mut types: HashMap<&str, &str> = HashMap::new();
+    let mut samples: HashMap<&str, i64> = HashMap::new();
+    for line in metrics.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').expect("TYPE line has a kind");
+            assert!(types.insert(name, kind).is_none(), "duplicate TYPE {name}");
+        } else if let Some((series, value)) = line.split_once(' ') {
+            if !series.contains('{') {
+                let value = value.parse().expect("integer sample");
+                assert!(
+                    samples.insert(series, value).is_none(),
+                    "duplicate series {series}"
+                );
+            }
+        }
+    }
+    for (stat, value) in rows {
+        let candidates = [
+            (format!("verdict_{stat}_total"), "counter"),
+            (format!("verdict_{stat}"), "gauge"),
+        ];
+        let found: Vec<&(String, &str)> = candidates
+            .iter()
+            .filter(|(name, _)| samples.contains_key(name.as_str()))
+            .collect();
+        assert_eq!(found.len(), 1, "stat {stat}: series found {found:?}");
+        let (name, kind) = found[0];
+        assert_eq!(types.get(name.as_str()), Some(kind), "TYPE of {name}");
+        if compare_values {
+            assert_eq!(samples[name.as_str()], *value, "value of {name}");
+        }
+    }
+    let stats: HashSet<&str> = rows.iter().map(|(stat, _)| stat.as_str()).collect();
+    for (name, kind) in &types {
+        if *kind == "histogram"
+            || *name == "verdict_statements_total"
+            || *name == "verdict_slow_queries_total"
+        {
+            continue;
+        }
+        let stem = name.strip_prefix("verdict_").expect("verdict_ prefix");
+        let stem = match *kind {
+            "counter" => stem.strip_suffix("_total").expect("counter ends in _total"),
+            _ => stem,
+        };
+        assert!(stats.contains(stem), "series {name} has no SHOW STATS row");
+    }
+}
+
+#[test]
+fn show_stats_and_show_metrics_agree() {
+    // A store-backed context, so every core section (cache, streams,
+    // backend, store) is listed.
+    let dir = std::env::temp_dir().join(format!("verdict_obs_agree_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = sales_engine(17);
+    let store = Arc::new(Store::open(&dir).expect("open store"));
+    engine
+        .catalog()
+        .set_store(Arc::clone(&store) as Arc<dyn StoreHandle>);
+    let ctx = Arc::new(VerdictContext::with_store(engine, sales_config(), store).unwrap());
+    let mut s = VerdictSession::new(Arc::clone(&ctx));
+    s.execute("CREATE SCRAMBLE sales_scr FROM sales METHOD uniform RATIO 0.05")
+        .unwrap();
+    s.execute("SELECT count(*) AS n FROM sales").unwrap();
+    s.execute("SELECT count(*) AS n FROM sales").unwrap();
+
+    let resp = s.execute("SHOW STATS").unwrap();
+    let table = resp.table().expect("SHOW STATS returns a table");
+    let rows: Vec<(String, i64)> = (0..table.num_rows())
+        .map(|r| (str_at(table, r, 1), int_at(table, r, 2)))
+        .collect();
+    assert!(rows.iter().any(|(stat, _)| stat == "store_wal_syncs"));
+    let metrics = match s.execute("SHOW METRICS").unwrap() {
+        VerdictResponse::Metrics(text) => text,
+        other => panic!("expected a METRICS response, got {}", other.kind()),
+    };
+    assert_stats_match_metrics(&rows, &metrics, true);
+
+    // Over TCP both views gain the serving section.  Serving counters move
+    // between the two requests, so only names and types are compared.
+    let handle = VerdictServer::bind("127.0.0.1:0", ctx)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = VerdictClient::connect(handle.addr()).unwrap();
+    let stats = client.sql("SHOW STATS").unwrap();
+    let rows: Vec<(String, i64)> = stats
+        .rows
+        .iter()
+        .map(|row| (row[1].to_string(), row[2].as_i64().expect("integer value")))
+        .collect();
+    assert!(rows.iter().any(|(stat, _)| stat == "exec_workers"));
+    let metrics: String = client
+        .sql("SHOW METRICS")
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| format!("{}\n", row[0]))
+        .collect();
+    assert_stats_match_metrics(&rows, &metrics, false);
+    client.quit().unwrap();
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
