@@ -1,11 +1,12 @@
 //! Benchmark harness reproducing the tables and figures of the VerdictDB
 //! evaluation (§6 and Appendix B of the paper).
 //!
-//! Each experiment is a plain function returning printable rows, so the same
-//! code backs the `reproduce` binary (which regenerates EXPERIMENTS.md-style
-//! output) and the Criterion benches.  Scales are parameters: the defaults
-//! target seconds-per-experiment on a laptop; the shapes — who wins, by
-//! roughly what factor, where the crossovers fall — are what the paper's
+//! Each experiment is a plain function returning printable rows, which the
+//! `reproduce` binary prints.  Every latency and speedup is measured wall
+//! clock on the local engine: a timed query reports the median of
+//! [`TIMED_RUNS`] runs.  Scales are parameters: the defaults target
+//! seconds-per-experiment on a laptop; the shapes — who wins, by roughly
+//! what factor, where the crossovers fall — are what the paper's
 //! conclusions rest on and are preserved at any scale.
 
 pub mod kernel;
@@ -22,7 +23,25 @@ use verdict_core::{VerdictConfig, VerdictContext};
 use verdict_data::{
     instacart_queries, tpch_queries, InstacartGenerator, SyntheticGenerator, TpchGenerator,
 };
-use verdict_engine::{Backend, Engine, EngineProfile, ExecStats};
+use verdict_engine::{Backend, Engine};
+
+/// Runs of each query in the timed experiments; each reports the median.
+pub const TIMED_RUNS: usize = 5;
+
+/// Runs `query` [`TIMED_RUNS`] times.  Returns the first run's answer and
+/// the median of the wall-clock times `elapsed` reads off each run.
+fn timed<A, E>(
+    mut query: impl FnMut() -> Result<A, E>,
+    elapsed: impl Fn(&A) -> Duration,
+) -> Result<(A, Duration), E> {
+    let first = query()?;
+    let mut times = vec![elapsed(&first)];
+    for _ in 1..TIMED_RUNS {
+        times.push(elapsed(&query()?));
+    }
+    times.sort();
+    Ok((first, times[TIMED_RUNS / 2]))
+}
 
 /// One per-query row of the speedup/error experiments (Figures 4, 9, 10).
 #[derive(Debug, Clone)]
@@ -30,10 +49,12 @@ pub struct SpeedupRow {
     pub query: String,
     pub exact_rows_scanned: u64,
     pub approx_rows_scanned: u64,
+    /// Median wall-clock time of the exact runs.
     pub exact_elapsed: Duration,
+    /// Median wall-clock time of the approximate runs.
     pub approx_elapsed: Duration,
-    /// Modeled speedup per engine profile, in [redshift, sparksql, impala] order.
-    pub speedups: Vec<f64>,
+    /// Measured speedup: `exact_elapsed / approx_elapsed`.
+    pub speedup: f64,
     /// Worst actual relative error of the approximate answer vs the exact one.
     pub actual_relative_error: f64,
     /// True when VerdictDB fell back to exact execution.
@@ -94,44 +115,24 @@ pub fn workload_context(insta_scale: f64, tpch_scale: f64, sampling_ratio: f64) 
     ctx
 }
 
-/// Figures 4, 9, 10: per-query speedups (under the three engine profiles) and
-/// actual relative errors for the full tq-*/iq-* workload.
+/// Figures 4, 9, 10: per-query measured speedups and actual relative
+/// errors for the full tq-*/iq-* workload.
 pub fn speedup_experiment(ctx: &VerdictContext) -> Vec<SpeedupRow> {
     let mut rows = Vec::new();
     for q in tpch_queries().iter().chain(instacart_queries().iter()) {
-        let exact = match ctx.execute_exact(&q.sql) {
-            Ok(a) => a,
-            Err(_) => continue,
+        let Ok((exact, exact_elapsed)) = timed(|| ctx.execute_exact(&q.sql), |a| a.elapsed) else {
+            continue;
         };
-        let approx = match ctx.execute(&q.sql) {
-            Ok(a) => a,
-            Err(_) => continue,
+        let Ok((approx, approx_elapsed)) = timed(|| ctx.execute(&q.sql), |a| a.elapsed) else {
+            continue;
         };
-        let exact_stats = ExecStats {
-            rows_scanned: exact.rows_scanned,
-            elapsed: exact.elapsed,
-        };
-        let approx_stats = ExecStats {
-            rows_scanned: approx.rows_scanned,
-            elapsed: approx.elapsed,
-        };
-        let speedups: Vec<f64> = EngineProfile::all()
-            .iter()
-            .map(|p| {
-                if approx.exact {
-                    1.0
-                } else {
-                    p.speedup(&exact_stats, &approx_stats)
-                }
-            })
-            .collect();
         rows.push(SpeedupRow {
             query: q.id.to_string(),
             exact_rows_scanned: exact.rows_scanned,
             approx_rows_scanned: approx.rows_scanned,
-            exact_elapsed: exact.elapsed,
-            approx_elapsed: approx.elapsed,
-            speedups,
+            exact_elapsed,
+            approx_elapsed,
+            speedup: exact_elapsed.div_duration_f64(approx_elapsed),
             actual_relative_error: actual_relative_error(&approx.table, &exact.table),
             fell_back: approx.exact,
         });
@@ -177,7 +178,7 @@ pub fn actual_relative_error(approx: &verdict_engine::Table, exact: &verdict_eng
 }
 
 /// Figure 5: speedup versus original data size with the sample size held
-/// fixed.  Returns `(scale, modeled redshift speedup)` pairs for tq-6.
+/// fixed.  Returns `(scale, measured speedup)` pairs for tq-6.
 pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
     let mut out = Vec::new();
     let sql = &tpch_queries()
@@ -198,26 +199,16 @@ pub fn scaling_experiment(scales: &[f64]) -> Vec<(f64, f64)> {
         config.seed = Some(9);
         let ctx = VerdictContext::new(conn, config);
         let _ = ctx.create_sample("lineitem", SampleType::Uniform);
-        let exact = ctx.execute_exact(sql).unwrap();
-        let approx = ctx.execute(sql).unwrap();
-        let profile = EngineProfile::redshift();
-        let speedup = profile.speedup(
-            &ExecStats {
-                rows_scanned: exact.rows_scanned,
-                elapsed: exact.elapsed,
-            },
-            &ExecStats {
-                rows_scanned: approx.rows_scanned,
-                elapsed: approx.elapsed,
-            },
-        );
-        out.push((scale, speedup));
+        let (_, exact) = timed(|| ctx.execute_exact(sql), |a| a.elapsed).unwrap();
+        let (_, approx) = timed(|| ctx.execute(sql), |a| a.elapsed).unwrap();
+        out.push((scale, exact.div_duration_f64(approx)));
     }
     out
 }
 
 /// Figure 6: VerdictDB versus the tightly-integrated AQP baseline.
-/// Returns `(query id, verdict latency, integrated latency, verdict wins)`.
+/// Returns `(query id, verdict median latency, integrated median latency,
+/// verdict wins)`.
 pub fn integrated_comparison(ctx: &VerdictContext) -> Vec<(String, Duration, Duration, bool)> {
     let mut integrated = IntegratedAqp::new(Arc::clone(ctx.connection()));
     for meta in ctx.meta().all() {
@@ -231,23 +222,12 @@ pub fn integrated_comparison(ctx: &VerdictContext) -> Vec<(String, Duration, Dur
     }
     let mut rows = Vec::new();
     for q in instacart_queries().iter().chain(tpch_queries().iter()) {
-        let Ok(verdict) = ctx.execute(&q.sql) else {
+        let Ok((_, v)) = timed(|| ctx.execute(&q.sql), |a| a.elapsed) else {
             continue;
         };
-        let Ok(snappy) = integrated.execute(&q.sql) else {
+        let Ok((_, s)) = timed(|| integrated.execute(&q.sql), |a| a.elapsed) else {
             continue;
         };
-        // model the latency so the fixed middleware overhead matters the same
-        // way for both systems
-        let profile = EngineProfile::spark_sql();
-        let v = profile.model_latency(&ExecStats {
-            rows_scanned: verdict.rows_scanned,
-            elapsed: verdict.elapsed,
-        });
-        let s = profile.model_latency(&ExecStats {
-            rows_scanned: snappy.rows_scanned,
-            elapsed: snappy.elapsed,
-        });
         rows.push((q.id.to_string(), v, s, v < s));
     }
     rows
@@ -572,20 +552,26 @@ mod tests {
     }
 
     #[test]
-    fn speedup_experiment_produces_rows_with_speedups_over_one() {
+    fn speedup_experiment_scans_fewer_rows_when_approximating() {
+        // Timing is not asserted: tests run unoptimised on small shared
+        // boxes.  Reading a sample instead of the base table is what the
+        // measured speedup rests on, so that is what is checked.
         let ctx = workload_context(0.05, 0.08, 0.05);
         let rows = speedup_experiment(&ctx);
         assert!(rows.len() >= 30);
-        let sped_up = rows
+        let sampled = rows
             .iter()
-            .filter(|r| !r.fell_back && r.speedups[0] > 1.0)
+            .filter(|r| !r.fell_back && r.approx_rows_scanned < r.exact_rows_scanned)
             .count();
-        assert!(sped_up >= 20, "only {sped_up} queries sped up");
-        // fallback queries report 1x
-        assert!(rows
-            .iter()
-            .filter(|r| r.fell_back)
-            .all(|r| r.speedups[0] == 1.0));
+        assert!(sampled >= 20, "only {sampled} queries read a sample");
+        for r in &rows {
+            assert!(
+                r.speedup.is_finite() && r.speedup > 0.0,
+                "{}: speedup {}",
+                r.query,
+                r.speedup
+            );
+        }
     }
 
     #[test]

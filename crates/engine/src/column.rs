@@ -1007,22 +1007,6 @@ impl Column {
         }
         (sum, count)
     }
-
-    /// Approximate heap + inline footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        let bitmap = self
-            .validity
-            .as_ref()
-            .map(|b| b.words.len() * 8)
-            .unwrap_or(0);
-        bitmap
-            + match &self.data {
-                ColumnData::Int64(v) => v.len() * 8,
-                ColumnData::Float64(v) => v.len() * 8,
-                ColumnData::Bool(v) => v.len(),
-                ColumnData::Utf8(v) => v.iter().map(|s| 24 + s.len()).sum(),
-            }
-    }
 }
 
 /// Logical equality: rows compare as SQL values (so `Int64[5]` equals

@@ -37,8 +37,8 @@ pub struct Executor<'a> {
     rng: StdRng,
     /// Morsel-parallel worker pool shared with the owning engine.
     pool: Arc<ThreadPool>,
-    /// Total number of base-table rows scanned while executing (used by the
-    /// engine latency profiles to model per-engine cost).
+    /// Total number of base-table rows scanned while executing (reported in
+    /// [`crate::ExecStats`]).
     pub rows_scanned: u64,
 }
 

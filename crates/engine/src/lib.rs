@@ -14,9 +14,9 @@
 //! [`Backend`] implementation (such as the server crate's remote
 //! wire-protocol backend) can be swapped in.
 //!
-//! Per-engine latency *profiles* ([`profile::EngineProfile`]) model the fixed
-//! overhead and per-row scan cost of the paper's three engines so that the
-//! speedup experiments preserve the published shape.
+//! Every statement reports its rows scanned and wall-clock time
+//! ([`ExecStats`]); the speedups the benchmarks print are measured on this
+//! engine, not modeled after the paper's.
 //!
 //! ## Example
 //!
@@ -48,7 +48,6 @@ pub mod functions;
 pub mod kernels;
 pub mod parallel;
 pub mod persist;
-pub mod profile;
 pub mod schema;
 pub mod selvec;
 pub mod table;
@@ -61,7 +60,6 @@ pub use error::{EngineError, EngineResult};
 pub use exec::progressive::{BlockScan, ProgressiveScan};
 pub use parallel::{GroupStrategy, ThreadPool, MORSEL_ROWS};
 pub use persist::{ScanSource, StoreHandle, TableSource};
-pub use profile::EngineProfile;
 pub use schema::{Field, Schema};
 pub use selvec::SelVec;
 pub use table::{Table, TableBuilder};

@@ -174,12 +174,6 @@ impl Table {
         self.take(&indices)
     }
 
-    /// Approximate memory footprint in bytes, used by the engine profiles to
-    /// model scan cost per engine.
-    pub fn approx_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.approx_bytes()).sum()
-    }
-
     /// Renders the table as an ASCII grid, truncated to `max_rows` rows.
     /// Useful for examples and debugging output.
     pub fn to_ascii(&self, max_rows: usize) -> String {

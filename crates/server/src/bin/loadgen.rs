@@ -585,16 +585,23 @@ fn wait_until_serving(addr: &str, budget: Duration) -> bool {
 }
 
 fn cache_line(client: &mut VerdictClient) -> String {
+    const STATS: [(&str, &str); 6] = [
+        ("hits", "cache_hits"),
+        ("misses", "cache_misses"),
+        ("entries", "cache_entries"),
+        ("sessions_active", "sessions_active"),
+        ("shed", "queries_shed"),
+        ("refused", "queries_refused"),
+    ];
     match client.stats() {
-        Ok(s) => format!(
-            "hits={} misses={} entries={} sessions_active={} shed={} refused={}",
-            s.extra("cache_hits").unwrap_or("?"),
-            s.extra("cache_misses").unwrap_or("?"),
-            s.extra("cache_entries").unwrap_or("?"),
-            s.extra("sessions_active").unwrap_or("?"),
-            s.extra("queries_shed").unwrap_or("?"),
-            s.extra("queries_refused").unwrap_or("?"),
-        ),
+        Ok(s) => STATS
+            .iter()
+            .map(|(label, stat)| match s.extra(stat) {
+                Some(v) => format!("{label}={v}"),
+                None => format!("{label}=missing:{stat}"),
+            })
+            .collect::<Vec<_>>()
+            .join(" "),
         Err(e) => format!("unavailable ({e})"),
     }
 }

@@ -188,7 +188,17 @@ fn cached_repeat_is_identical_and_append_invalidates() {
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.extra("cache_invalidations"), Some("1"));
-    assert!(stats.extra("cache_hits").is_some());
+    // The stats verdict-loadgen's status line reads over TCP.
+    for stat in [
+        "cache_hits",
+        "cache_misses",
+        "cache_entries",
+        "sessions_active",
+        "queries_shed",
+        "queries_refused",
+    ] {
+        assert!(stats.extra(stat).is_some(), "SHOW STATS lacks {stat}");
+    }
     client.quit().unwrap();
     handle.stop();
 }
